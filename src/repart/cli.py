@@ -4,19 +4,23 @@ Reports are deterministic (sorted keys, no timestamps) so repeated runs of
 the same spec are byte-identical.
 """
 
-import argparse
+from __future__ import annotations
+
 import csv
 import io
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from . import adversaries, engine, offline
 from .components import ComponentRepartitioner
 from .core import Configuration, Params, TooLarge, contiguous_configuration
 from .greedy import DEFAULT_LAM, GreedyMatcher
+
+if TYPE_CHECKING:
+    import argparse   # main() imports it, so importing the library does not
 
 ALGORITHMS = ("greedy", "components", "null", "naive")
 SOURCES = ("ring", "pair_chase", "group_phases", "paging", "random",
@@ -358,6 +362,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="repart",
         description="online repartitioning testbench: run, verify, sweep, compare")

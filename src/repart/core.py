@@ -7,9 +7,11 @@ clusters costs alpha. Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 
 class RepartError(Exception):
@@ -80,7 +82,16 @@ class Request:
 
 
 class Configuration:
-    """Immutable node -> cluster assignment with fixed capacities."""
+    """Immutable node -> cluster assignment with fixed capacities.
+
+    Two caches are derived lazily and carried into the configurations that
+    `apply_moves` derives, so a step costs O(moves) rather than O(n): the
+    per-cluster member tuples behind `nodes_in`, which children share with
+    their parent for the clusters a move leaves alone, and the Zobrist `key`.
+    """
+
+    __slots__ = ("assignment", "cluster_count", "cluster_capacity", "_counts",
+                 "_members", "_key")
 
     def __init__(self, assignment: Sequence[int], cluster_count: int,
                  cluster_capacity: int):
@@ -96,6 +107,20 @@ class Configuration:
                 raise CapacityExceeded("cluster %d over capacity %d"
                                        % (c, cluster_capacity))
         self._counts = tuple(counts)
+        self._members: Optional[List[Tuple[int, ...]]] = None
+        self._key: Optional[int] = None
+
+    def _derived(self, assignment: Tuple[int, ...], counts: Tuple[int, ...],
+                 members: Optional[List[Tuple[int, ...]]],
+                 key: Optional[int]) -> "Configuration":
+        """A child with this shape whose validity and caches the caller
+        vouches for; skips the O(n) validation of __init__."""
+        out = Configuration.__new__(Configuration)
+        out.cluster_count = self.cluster_count
+        out.cluster_capacity = self.cluster_capacity
+        out.assignment, out._counts = assignment, counts
+        out._members, out._key = members, key
+        return out
 
     @property
     def n(self) -> int:
@@ -106,19 +131,42 @@ class Configuration:
             raise UnknownNode("node %d outside [0, %d)" % (v, len(self.assignment)))
         return self.assignment[v]
 
+    def _build_members(self) -> List[Tuple[int, ...]]:
+        members: List[List[int]] = [[] for _ in range(self.cluster_count)]
+        for v, c in enumerate(self.assignment):
+            members[c].append(v)
+        return [tuple(m) for m in members]
+
     def nodes_in(self, c: int) -> List[int]:
+        """Members of cluster c in increasing id order."""
         if not 0 <= c < self.cluster_count:
             raise UnknownCluster("cluster %d outside [0, %d)" % (c, self.cluster_count))
-        return [v for v, cc in enumerate(self.assignment) if cc == c]
+        if self._members is None:
+            self._members = self._build_members()
+        return list(self._members[c])
 
     def occupancy(self, c: int) -> int:
         if not 0 <= c < self.cluster_count:
             raise UnknownCluster("cluster %d outside [0, %d)" % (c, self.cluster_count))
         return self._counts[c]
 
+    @property
+    def key(self) -> int:
+        """64-bit Zobrist key: the XOR of `zobrist(v, c)` over every node.
+
+        It depends only on the placement, and a move updates it with two
+        XORs. Computed from scratch at most once per chain of derived
+        configurations.
+        """
+        if self._key is None:   # zobrist(v, c) inlined, to run at C speed
+            self._key = functools.reduce(
+                operator.xor, map(hash, zip(range(self.n), self.assignment)), 0)
+        return self._key & _KEY_MASK
+
     def canonical(self) -> str:
-        return "%d/%d:%s" % (self.cluster_count, self.cluster_capacity,
-                             ",".join(str(c) for c in self.assignment))
+        # one C-level format pass, with no string object per node
+        body = ("%d," * len(self.assignment) % self.assignment)[:-1]
+        return "%d/%d:%s" % (self.cluster_count, self.cluster_capacity, body)
 
     def __eq__(self, other):
         return (isinstance(other, Configuration)
@@ -131,6 +179,19 @@ class Configuration:
 
     def __repr__(self):
         return "Configuration(%s)" % self.canonical()
+
+
+_KEY_MASK = (1 << 64) - 1
+
+
+def zobrist(v: int, c: int) -> int:
+    """The key of node v sitting in cluster c.
+
+    CPython's tuple hash (xxHash-based, and not salted by PYTHONHASHSEED, as
+    int and tuple hashes never are) keeps the from-scratch key one pass at
+    C speed. Fixed for a given interpreter build.
+    """
+    return hash((v, c))
 
 
 AssignmentLike = Union[Mapping[int, int], Sequence[int]]
@@ -185,23 +246,48 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
     """Apply a batch of (node, target cluster) moves atomically.
 
     Cost is alpha per node whose cluster actually changed; moves onto the
-    current cluster are free. Capacity is validated on the final placement
-    only, so batches may pass through transient overfull states.
+    current cluster are free, and when a node appears more than once its
+    last move wins. Capacity is validated on the final placement only, so
+    batches may pass through transient overfull states. Only the moved
+    nodes and the clusters they enter are checked, since `config` is valid.
     """
     if not moves:
         return config, 0
-    new_assignment = list(config.assignment)
+    n, ell = len(config.assignment), config.cluster_count
+    final: Dict[int, int] = {}
     for v, c in moves:
-        if not 0 <= v < config.n:
+        if not 0 <= v < n:
             raise UnknownNode("move for unknown node %d" % v)
-        if not 0 <= c < config.cluster_count:
+        if not 0 <= c < ell:
             raise UnknownCluster("move to unknown cluster %d" % c)
-        new_assignment[v] = c
-    changed = sum(1 for v in range(config.n)
-                  if new_assignment[v] != config.assignment[v])
-    out = Configuration(new_assignment, config.cluster_count,
-                        config.cluster_capacity)
-    return out, alpha * changed
+        final[v] = c
+    old = config.assignment
+    changed = [(v, old[v], c) for v, c in final.items() if old[v] != c]
+    if not changed:
+        return config, 0
+    assignment = list(old)
+    counts = list(config._counts)
+    key = config._key
+    for v, a, b in changed:
+        assignment[v] = b
+        counts[a] -= 1
+        counts[b] += 1
+        if key is not None:
+            key ^= zobrist(v, a) ^ zobrist(v, b)
+    entered = {b for _, _, b in changed}
+    for c in sorted(entered):
+        if counts[c] > config.cluster_capacity:
+            raise CapacityExceeded("cluster %d over capacity %d"
+                                   % (c, config.cluster_capacity))
+    members = config._members
+    if members is not None:
+        members = list(members)   # untouched clusters stay shared with config
+        for c in entered.union(a for _, a, _ in changed):
+            members[c] = tuple(sorted(
+                [v for v in members[c] if assignment[v] == c]
+                + [v for v, _, b in changed if b == c]))
+    out = config._derived(tuple(assignment), tuple(counts), members, key)
+    return out, alpha * len(changed)
 
 
 def _overlap_matrix(a: Configuration, b: Configuration) -> List[List[int]]:
@@ -233,6 +319,40 @@ def min_migration_cost(a: Configuration, b: Configuration, alpha: int) -> int:
         rows, cols = linear_sum_assignment([[-x for x in row] for row in m])
         best = sum(m[i][j] for i, j in zip(rows, cols))
     return alpha * (a.n - best)
+
+
+class PairCounts:
+    """Counters on unordered node pairs, indexed by node.
+
+    `nbrs[x][y]` holds the count of the pair {x, y} under both endpoints,
+    so a node's pairs are found, and forgotten, without scanning the rest.
+    """
+
+    def __init__(self):
+        self.nbrs: Dict[int, Dict[int, int]] = {}
+
+    def add(self, u: int, v: int) -> int:
+        """Count one more {u, v} and return the new count."""
+        mates = self.nbrs.setdefault(u, {})
+        count = mates[v] = mates.get(v, 0) + 1
+        self.nbrs.setdefault(v, {})[u] = count
+        return count
+
+    def get(self, u: int, v: int) -> int:
+        return self.nbrs.get(u, {}).get(v, 0)
+
+    def drop(self, v: int):
+        """Forget every pair touching v."""
+        for w in self.nbrs.pop(v, ()):
+            mates = self.nbrs[w]
+            del mates[v]
+            if not mates:
+                del self.nbrs[w]
+
+    def as_dict(self) -> Dict[Tuple[int, int], int]:
+        """{(x, y): count} with x < y."""
+        return {(x, y): count for x, mates in self.nbrs.items()
+                for y, count in mates.items() if x < y}
 
 
 @dataclass

@@ -6,11 +6,15 @@ Moves come in two batches: pre-serve moves take effect before the request
 is charged, post-serve moves after. Component-based repartitioning uses
 the pre slot; the greedy rematcher swaps only after the triggering request
 has been paid, so it uses the post slot.
+
+A step costs O(moves) in the harness: `apply_moves` derives the next
+configuration incrementally, and each step's digest is the configuration's
+Zobrist key (Zobrist 1970), the XOR of one 64-bit key per (node, cluster)
+placement, printed as 16 hex characters.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
@@ -18,6 +22,7 @@ from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
 from .core import (
     Configuration,
     CostLedger,
+    PairCounts,
     Params,
     Request,
     apply_moves,
@@ -54,20 +59,28 @@ class RequestSource(Protocol):
         ...
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
+    """One served request, its moves and costs.
+
+    `digest` names the configuration after the step: its Zobrist key
+    (`Configuration.key`, the XOR of `core.zobrist(v, c)` over all nodes)
+    as 16 hex characters. It depends only on the placement. It is for
+    in-process auditing and appears in no report or `.steps` transcript.
+    """
+
     t: int
     u: int
     v: int
-    pre_moves: List[Move]
-    post_moves: List[Move]
+    pre_moves: Tuple[Move, ...]
+    post_moves: Tuple[Move, ...]
     comm: int
     mig: int
     digest: str
 
 
 def _digest(config: Configuration) -> str:
-    return hashlib.sha256(config.canonical().encode()).hexdigest()[:16]
+    return "%016x" % config.key
 
 
 @dataclass
@@ -119,6 +132,7 @@ def run(alg: OnlineAlgorithm, src: RequestSource, params: Params,
     """
     config = initial
     transcript = Transcript(params=params, initial=initial)
+    digested = digest = None    # steps that leave the placement share a digest
     for t in range(1, max_steps + 1):
         try:
             req = src.next(config)
@@ -133,9 +147,11 @@ def run(alg: OnlineAlgorithm, src: RequestSource, params: Params,
         config, mig_post = apply_moves(config, post_moves, params.alpha)
         mig = mig_pre + mig_post
         transcript.ledger.record(comm, mig)
-        transcript.steps.append(StepRecord(t, req.u, req.v, list(pre_moves),
-                                           list(post_moves), comm, mig,
-                                           _digest(config)))
+        if config is not digested:
+            digested, digest = config, _digest(config)
+        transcript.steps.append(StepRecord(t, req.u, req.v, tuple(pre_moves),
+                                           tuple(post_moves), comm, mig,
+                                           digest))
         if t % SNAPSHOT_EVERY == 0:
             transcript.snapshots.append((t, config))
         if observer is not None:
@@ -179,7 +195,7 @@ class NaiveCollocator:
     def __init__(self, params: Params, threshold: Optional[int] = None):
         self.params = params
         self.threshold = 2 * params.alpha if threshold is None else threshold
-        self.pair_counts = {}
+        self.pairs = PairCounts()
         self.last_requested = {}  # node -> last step it appeared in a request
 
     def step(self, config: Configuration, request: Request):
@@ -188,16 +204,13 @@ class NaiveCollocator:
         self.last_requested[v] = request.t
         if config.cluster_of(u) == config.cluster_of(v):
             return [], []
-        key = (min(u, v), max(u, v))
-        self.pair_counts[key] = self.pair_counts.get(key, 0) + 1
-        if self.pair_counts[key] < self.threshold:
+        if self.pairs.add(u, v) < self.threshold:
             return [], []
         mover, stay = (u, v) if u > v else (v, u)
         target = config.cluster_of(stay)
         candidates = [w for w in config.nodes_in(target) if w != stay]
         evictee = min(candidates,
                       key=lambda w: (self.last_requested.get(w, -1), w))
-        for k in list(self.pair_counts):
-            if mover in k or evictee in k:
-                del self.pair_counts[k]
+        self.pairs.drop(mover)
+        self.pairs.drop(evictee)
         return [], [(mover, target), (evictee, config.cluster_of(mover))]

@@ -6,14 +6,15 @@ lam * alpha it picks the cluster it talked to most, collocates the hottest
 pair across the two by one swap (cost 2 * alpha), and resets every counter
 touching the four nodes involved. The swap lands after the triggering
 request is served, so the full quantum of lam * alpha requests is paid
-remotely between swaps touching a cluster.
+remotely between swaps touching a cluster. Pair counters are indexed by
+node, so the choice and the reset read only the pairs of those nodes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .core import Configuration, GeometryError, Params, Request
+from .core import Configuration, GeometryError, PairCounts, Params, Request
 
 DEFAULT_LAM = 3
 
@@ -29,22 +30,31 @@ class GreedyMatcher:
         self.params = params
         self.lam = lam
         self.out_counts: Dict[int, int] = {}
-        self.pair_counts: Dict[Tuple[int, int], int] = {}
+        self.pairs = PairCounts()
 
-    def _pair_sum(self, config: Configuration, c1: int, c2: int) -> int:
-        total = 0
-        for x in config.nodes_in(c1):
-            for y in config.nodes_in(c2):
-                total += self.pair_counts.get((min(x, y), max(x, y)), 0)
-        return total
+    @property
+    def pair_counts(self) -> Dict[Tuple[int, int], int]:
+        return self.pairs.as_dict()
+
+    def _partner(self, config: Configuration, c1: int, members: List[int]) -> int:
+        """The cluster c != c1 with the most pair traffic to c1, ties to the
+        lower id. Only the pairs of c1's own nodes are read; the request
+        that tripped c1 is one of them, so some cluster has traffic.
+        """
+        sums: Dict[int, int] = {}
+        for x in members:
+            for y, count in self.pairs.nbrs.get(x, {}).items():
+                c = config.assignment[y]
+                if c != c1:
+                    sums[c] = sums.get(c, 0) + count
+        return max(sums, key=lambda c: (sums[c], -c))
 
     def step(self, config: Configuration, request: Request):
         u, v = request.u, request.v
         cu, cv = config.cluster_of(u), config.cluster_of(v)
         if cu == cv:
             return [], []
-        key = (min(u, v), max(u, v))
-        self.pair_counts[key] = self.pair_counts.get(key, 0) + 1
+        self.pairs.add(u, v)
         self.out_counts[cu] = self.out_counts.get(cu, 0) + 1
         self.out_counts[cv] = self.out_counts.get(cv, 0) + 1
         threshold = self.lam * self.params.alpha
@@ -53,26 +63,22 @@ class GreedyMatcher:
         if not hot:
             return [], []
         c1 = hot[0]
-        if len(hot) == 2:
-            # both endpoint clusters tripped; one swap must reset both
-            c2 = hot[1]
-        else:
-            c2 = max((c for c in range(config.cluster_count) if c != c1),
-                     key=lambda c: (self._pair_sum(config, c1, c), -c))
+        in_c1 = config.nodes_in(c1)
+        # when both endpoint clusters tripped, one swap must reset both
+        c2 = hot[1] if len(hot) == 2 else self._partner(config, c1, in_c1)
+        in_c2 = config.nodes_in(c2)
         best_pair = None
         best_count = -1
-        for x in config.nodes_in(c1):
-            for y in config.nodes_in(c2):
-                cnt = self.pair_counts.get((min(x, y), max(x, y)), 0)
+        for x in in_c1:
+            for y in in_c2:
+                cnt = self.pairs.get(x, y)
                 if cnt > best_count:
                     best_count = cnt
                     best_pair = (x, y)
         x, y = best_pair
-        mate = next(w for w in config.nodes_in(c1) if w != x)
-        touched = set(config.nodes_in(c1)) | set(config.nodes_in(c2))
-        for k in list(self.pair_counts):
-            if k[0] in touched or k[1] in touched:
-                del self.pair_counts[k]
+        mate = next(w for w in in_c1 if w != x)
+        for w in in_c1 + in_c2:
+            self.pairs.drop(w)
         self.out_counts.pop(c1, None)
         self.out_counts.pop(c2, None)
         # y joins x; x's mate takes y's slot. Applied after the serve.
