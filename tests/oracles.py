@@ -3,12 +3,25 @@
 The search references enumerate exhaustively with no pruning or early
 exit, so they are slow but obviously faithful to the selection rules;
 they are usable up to roughly ten components. The placement and
-pair-counter references rebuild or scan everything on every call.
+pair-counter references rebuild or scan everything on every call, and
+the offline references scan every pair of states on every request.
 """
 
 import itertools
+import math
+from typing import List, Optional, Sequence, Tuple
 
-from repart.core import Configuration, UnknownCluster, UnknownNode, zobrist
+from repart.core import (
+    Configuration,
+    Params,
+    Request,
+    TooLarge,
+    UnknownCluster,
+    UnknownNode,
+    min_migration_cost,
+    zobrist,
+)
+from repart.offline import Partition, PartitionSpace
 
 
 def internal_weight(subset, weights):
@@ -187,3 +200,129 @@ class ScanNaiveCollocator:
             if mover in k or evictee in k:
                 del self.pair_counts[k]
         return [], [(mover, target), (evictee, config.cluster_of(mover))]
+
+
+# -- offline references -------------------------------------------------------
+# The library memoises the transition matrix by overlap signature, sweeps only
+# the states a request can raise, and counts serves per distinct pair; these
+# are the pairwise, full-scan forms it is checked against.
+
+
+def pairwise_transitions(space):
+    """Every entry of the transition matrix from its own min_migration_cost."""
+    configs = space._configs
+    return [[min_migration_cost(a, b, space.params.alpha) for b in configs]
+            for a in configs]
+
+
+def full_scan_optimal_cost(requests: Sequence[Request], params: Params,
+                           initial: Configuration,
+                           space: Optional[PartitionSpace] = None
+                           ) -> Tuple[int, List[Partition]]:
+    """Dynamic program over partition states.
+
+    Per step the offline player first moves (paying the transition), then
+    serves. Returns the optimal total and one optimal state schedule
+    (initial state first), ties resolved toward the lowest state index.
+    """
+    if space is None:
+        space = PartitionSpace(params)
+    trans = space.transitions()
+    m = len(space)
+    start = space.state_of(initial)
+    dist = [None] * m
+    dist[start] = 0
+    parents: List[List[int]] = []
+    for req in requests:
+        ndist = [None] * m
+        parent = [0] * m
+        for s in range(m):
+            best = None
+            arg = 0
+            for sp in range(m):
+                d = dist[sp]
+                if d is None:
+                    continue
+                c = d + trans[sp][s]
+                if best is None or c < best:
+                    best = c
+                    arg = sp
+            ndist[s] = best + space.serves(req, s)
+            parent[s] = arg
+        dist = ndist
+        parents.append(parent)
+    end = min(range(m),
+              key=lambda s: (math.inf if dist[s] is None else dist[s], s))
+    total = dist[end] or 0
+    path = [end]
+    for parent in reversed(parents):
+        path.append(parent[path[-1]])
+    path.reverse()
+    return total, [space.partitions[s] for s in path]
+
+
+def serve_scan_static_optimal(requests: Sequence[Request], params: Params,
+                              initial: Configuration,
+                              space: Optional[PartitionSpace] = None
+                              ) -> Tuple[int, Partition]:
+    """Best single partition: pay once to reach it, then never move."""
+    if space is None:
+        space = PartitionSpace(params)
+    trans = space.transitions()
+    start = space.state_of(initial)
+    best = None
+    best_state = 0
+    for s in range(len(space)):
+        c = trans[start][s] + sum(space.serves(r, s) for r in requests)
+        if best is None or c < best:
+            best = c
+            best_state = s
+    return best, space.partitions[best_state]
+
+
+def exhaustive_optimal(requests: Sequence[Request], params: Params,
+                       initial: Configuration,
+                       space: Optional[PartitionSpace] = None) -> int:
+    """Brute force over every state sequence. Tiny instances only."""
+    if space is None:
+        space = PartitionSpace(params)
+    if len(requests) > 8:
+        raise TooLarge("exhaustive search capped at 8 requests")
+    if len(space) > 30:
+        raise TooLarge("exhaustive search capped at 30 partitions")
+    trans = space.transitions()
+    start = space.state_of(initial)
+    best = None
+    for seq in itertools.product(range(len(space)), repeat=len(requests)):
+        cost = 0
+        prev = start
+        for req, s in zip(requests, seq):
+            cost += trans[prev][s] + space.serves(req, s)
+            prev = s
+        if best is None or cost < best:
+            best = cost
+    return 0 if best is None else best
+
+
+def exhaustive_optimal(requests: Sequence[Request], params: Params,
+                       initial: Configuration,
+                       space: Optional[PartitionSpace] = None) -> int:
+    """Brute force over every state sequence. Tiny instances only."""
+    if space is None:
+        space = PartitionSpace(params)
+    if len(requests) > 8:
+        raise TooLarge("exhaustive search capped at 8 requests")
+    if len(space) > 30:
+        raise TooLarge("exhaustive search capped at 30 partitions")
+    trans = space.transitions()
+    start = space.state_of(initial)
+    best = None
+    for seq in itertools.product(range(len(space)), repeat=len(requests)):
+        cost = 0
+        prev = start
+        for req, s in zip(requests, seq):
+            cost += trans[prev][s] + space.serves(req, s)
+            prev = s
+        if best is None or cost < best:
+            best = cost
+    return 0 if best is None else best

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_epoch_set, naive_merge_set, random_component_graph
+from oracles import exhaustive_optimal, naive_epoch_set, naive_merge_set, \
+    random_component_graph
 from repart import adversaries as adv
 from repart.components import (
     ComponentRepartitioner,
@@ -24,7 +25,6 @@ from repart.engine import NaiveCollocator, NullAlgorithm, run
 from repart.greedy import GreedyMatcher
 from repart.offline import (
     PartitionSpace,
-    exhaustive_optimal,
     optimal_cost,
     reference_strategies_k2,
     static_optimal,

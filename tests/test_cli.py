@@ -91,12 +91,17 @@ def test_run_writes_report_and_steps(tmp_path):
 
 
 def test_run_omits_ratio_when_the_state_space_is_too_large():
-    spec = _spec(alg="components", source="random", n=16, k=4, l=4,
-                 delta=4, steps=30)
-    report = cli.cmd_run(spec)
-    assert report["off_total"] is None
-    assert report["ratio"] is None
-    assert report["invariants"]["status"] == "pass"
+    # 2627625 and 15400 partition states, both above the state cap
+    for n, k, l in ((16, 4, 4), (12, 3, 4)):
+        spec = _spec(alg="components", source="random", n=n, k=k, l=l,
+                     delta=4, steps=30)
+        report = cli.cmd_run(spec)
+        assert report["off_total"] is None
+        assert report["ratio"] is None
+        assert report["invariants"]["status"] == "pass"
+    text = cli.cmd_sweep(spec, ks=[3], ls=[4], alphas=[1], seeds=[0])
+    (row,) = csv.DictReader(io.StringIO(text))
+    assert (row["off_cost"], row["ratio"], row["error"]) == ("", "", "")
 
 
 def test_run_static_oracle_bounds_dp():

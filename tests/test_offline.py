@@ -1,16 +1,31 @@
-"""Offline oracles: state space, dynamic program, bracketing strategies."""
+"""Offline oracles: state space, dynamic program, bracketing strategies.
 
+The memoised transition matrix, the sweep over the states a request can
+raise and the pair-counting static optimum are checked against the
+pairwise and full-scan references in oracles.py.
+"""
+
+import itertools
+import operator
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    exhaustive_optimal,
+    full_scan_optimal_cost,
+    pairwise_transitions,
+    serve_scan_static_optimal,
+)
 from repart.core import Params, Request, TooLarge, contiguous_configuration, \
     min_migration_cost, new_configuration, serve_cost
 from repart.offline import (
     MalformedProfile,
     PartitionSpace,
     enumerate_partitions,
-    exhaustive_optimal,
     optimal_cost,
     partition_count,
     partition_of_configuration,
@@ -146,3 +161,141 @@ def test_reference_strategies():
         reference_strategies_k2([], 1)
     with pytest.raises(MalformedProfile):
         reference_strategies_k2([2, 0, 2], 1)
+
+
+# -- fast paths against the references ----------------------------------------
+
+# every (n, k, ell) with n >= 2 whose space has at most 280 states
+SMALL_SHAPES = [(n, k, n // k) for n in range(2, 10) for k in range(1, n + 1)
+                if n % k == 0 and partition_count(n, k, n // k) <= 280]
+
+
+@pytest.mark.parametrize("alpha", (1, 2, 3))
+def test_memoised_matrix_matches_pairwise(alpha):
+    assert (9, 3, 3) in SMALL_SHAPES and (4, 1, 4) in SMALL_SHAPES
+    for n, k, ell in SMALL_SHAPES:
+        space = PartitionSpace(Params(n, k, ell, alpha=alpha))
+        trans = space.transitions()
+        assert trans == pairwise_transitions(space), (n, k, ell)
+
+
+def test_matrix_is_a_metric():
+    # the sweep's precondition: zero diagonal, symmetry, triangle inequality,
+    # and distinct states at least two moves apart
+    for n, k, ell in SMALL_SHAPES:
+        alpha = 2
+        trans = PartitionSpace(Params(n, k, ell, alpha=alpha)).transitions()
+        m = len(trans)
+        for i, row in enumerate(trans):
+            assert row[i] == 0
+            assert all(row[j] == trans[j][i] for j in range(m))
+            assert all(row[j] >= 2 * alpha for j in range(m) if j != i)
+            for j, hop in enumerate(row):
+                # row[l] <= row[j] + trans[j][l] for every l
+                via = map(operator.add, itertools.repeat(hop), trans[j])
+                assert all(map(operator.le, row, via)), (n, k, ell, i, j)
+
+
+_SPACES = {}
+
+
+def _space(n, k, ell, alpha):
+    key = (n, k, ell, alpha)
+    if key not in _SPACES:
+        _SPACES[key] = PartitionSpace(Params(n, k, ell, alpha=alpha))
+    return _SPACES[key]
+
+
+@st.composite
+def oracle_cases(draw):
+    """A space of at most 126 states, a shuffled balanced start and a stream."""
+    n, k, ell = draw(st.sampled_from(
+        [shape for shape in SMALL_SHAPES if partition_count(*shape) <= 126]))
+    space = _space(n, k, ell, draw(st.integers(1, 3)))
+    slots = draw(st.permutations([v // k for v in range(n)]))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % n))
+    # a few hot pairs make moving pay, so schedules move and ties come up
+    hot = st.sampled_from(draw(st.lists(pair, min_size=1, max_size=3)))
+    requests = [Request(u, v) for u, v in draw(st.lists(hot | pair, max_size=30))]
+    return space, new_configuration(slots, ell, k), requests
+
+
+def _case(n, k, ell, alpha, pairs):
+    return (_space(n, k, ell, alpha), contiguous_configuration(Params(n, k, ell)),
+            [Request(u, v) for u, v in pairs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+@example(_case(4, 4, 1, 2, [(0, 3), (1, 2)]))      # ell = 1
+@example(_case(4, 1, 4, 1, [(0, 3), (2, 1)]))      # k = 1
+@example(_case(8, 2, 4, 3, []))                    # empty stream
+def test_sweep_matches_full_scan(case):
+    space, initial, requests = case
+    params = space.params
+    want = full_scan_optimal_cost(requests, params, initial, space)
+    assert optimal_cost(requests, params, initial, space) == want
+    fresh = PartitionSpace(params)   # the static optimum builds one row only
+    assert static_optimal(requests, params, initial, fresh) == \
+        serve_scan_static_optimal(requests, params, initial, space)
+    assert fresh._trans is None
+
+
+def test_sweep_matches_full_scan_on_seeded_streams():
+    # plain random streams at alpha 1 and 2 reach the witnesses two moves
+    # away that shrunk examples rarely do
+    rng = random.Random(6)
+    for n, k, ell in SMALL_SHAPES:
+        if partition_count(n, k, ell) > 126:
+            continue
+        for alpha in (1, 2):
+            space = _space(n, k, ell, alpha)
+            initial = contiguous_configuration(space.params)
+            for _ in range(4):
+                sigma = _random_requests(rng, n, rng.randint(0, 30))
+                assert optimal_cost(sigma, space.params, initial, space) == \
+                    full_scan_optimal_cost(sigma, space.params, initial, space)
+
+
+def test_state_cap_fails_fast():
+    # m=15400 would need about 1.9 GB of matrix; it is refused before
+    # a single partition is enumerated
+    assert partition_count(12, 3, 4) == 15400
+    started = time.perf_counter()
+    with pytest.raises(TooLarge):
+        PartitionSpace(Params(12, 3, 4))
+    assert time.perf_counter() - started < 1.0
+
+
+def test_m945_optima_pinned():
+    # totals and schedule from the full-scan DP and the per-request static
+    # scan, computed once on this stream (about 70 s for them); n=10, k=2,
+    # ell=5 is the largest k=2 space under the state cap
+    rng = random.Random(945)
+    hot = (((0, 2), (1, 3), (4, 6)), ((0, 9), (2, 7), (5, 8)))
+    sigma = []
+    for t in range(32):
+        if rng.random() < 0.75:
+            u, v = rng.choice(hot[t // 16])
+        else:
+            u, v = sorted(rng.sample(range(10), 2))
+        sigma.append(Request(u, v))
+    params = Params(10, 2, 5, alpha=2)
+    space = PartitionSpace(params)
+    assert len(space) == 945
+    initial = contiguous_configuration(params)
+    total, schedule = optimal_cost(sigma, params, initial, space)
+    stat, part = static_optimal(sigma, params, initial, space)
+    assert (total, stat) == (19, 20)
+    # the schedule's moves: (first step in the state, state)
+    moves = [(t, p) for t, p in enumerate(schedule)
+             if t == 0 or p != schedule[t - 1]]
+    assert len(schedule) == 33
+    assert moves == [
+        (0, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))),
+        (1, ((0, 1), (2, 3), (4, 6), (5, 8), (7, 9))),
+        (2, ((0, 2), (1, 3), (4, 6), (5, 8), (7, 9))),
+        (17, ((0, 9), (1, 3), (2, 7), (4, 6), (5, 8))),
+    ]
+    assert part == ((0, 9), (1, 3), (2, 7), (4, 6), (5, 8))
