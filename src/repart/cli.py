@@ -10,9 +10,9 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import adversaries, engine, offline
 from .components import ComponentRepartitioner
@@ -117,19 +117,28 @@ def execute(spec: RunSpec, observer=None):
     return transcript, alg, src
 
 
-def _offline_cost(spec: RunSpec, transcript: engine.Transcript) -> Optional[int]:
-    requests = transcript.requests()
-    initial = initial_for(spec)
-    if spec.oracle == "dp":
-        total, _ = offline.optimal_cost(requests, spec.params(), initial)
-        return total
-    if spec.oracle == "static":
-        total, _ = offline.static_optimal(requests, spec.params(), initial)
-        return total
-    return None
+Spaces = Dict[Tuple[int, int, int, int], offline.PartitionSpace]
 
 
-def cmd_run(spec: RunSpec) -> dict:
+def _offline_cost(spec: RunSpec, transcript: engine.Transcript,
+                  spaces: Spaces) -> Optional[int]:
+    """The offline optimum of the run's requests. `spaces` holds the
+    partition space of the last (n, k, l, alpha) seen, shared by the
+    consecutive runs of a command that have that shape."""
+    if spec.oracle == "none":
+        return None
+    shape = (spec.n, spec.k, spec.l, spec.alpha)
+    if shape not in spaces:
+        spaces.clear()  # one m^2 transition matrix alive at a time
+        spaces[shape] = offline.PartitionSpace(spec.params())
+    oracle = (offline.optimal_cost if spec.oracle == "dp"
+              else offline.static_optimal)
+    total, _ = oracle(transcript.requests(), spec.params(), initial_for(spec),
+                      spaces[shape])
+    return total
+
+
+def cmd_run(spec: RunSpec, spaces: Optional[Spaces] = None) -> dict:
     transcript, alg, src = execute(spec)
     ledger = transcript.ledger
     report = {
@@ -146,7 +155,8 @@ def cmd_run(spec: RunSpec) -> dict:
     }
     if spec.oracle != "none":
         try:
-            off = _offline_cost(spec, transcript)
+            off = _offline_cost(spec, transcript,
+                                {} if spaces is None else spaces)
         except TooLarge:
             off = None
         if off is not None:
@@ -242,20 +252,18 @@ def cmd_sweep(base: RunSpec, ks: List[int], ls: List[int],
     writer.writerow(SWEEP_FIELDS)
     cells = sorted((k, l, a, s) for k in ks for l in ls
                    for a in alphas for s in seeds)
+    spaces: Spaces = {}
     for k, l, a, seed in cells:
         row = {"alg": base.alg, "source": base.source, "n": k * l, "k": k,
                "l": l, "alpha": a, "seed": seed, "on_cost": "",
                "off_cost": "", "ratio": "", "error": ""}
-        spec = RunSpec(alg=base.alg, source=base.source, n=k * l, k=k, l=l,
-                       alpha=a, delta=base.delta, lam=base.lam, seed=seed,
-                       steps=base.steps, oracle=base.oracle, trace=base.trace,
-                       p_in=base.p_in, p_out=base.p_out)
+        spec = replace(base, n=k * l, k=k, l=l, alpha=a, seed=seed, out=None)
         try:
             spec.validate()
             transcript, _, _ = execute(spec)
             row["on_cost"] = transcript.ledger.total
             try:
-                off = _offline_cost(spec, transcript)
+                off = _offline_cost(spec, transcript, spaces)
             except TooLarge:
                 off = None
             if off is not None:
@@ -271,15 +279,12 @@ def cmd_sweep(base: RunSpec, ks: List[int], ls: List[int],
 def cmd_compare(spec: RunSpec, algs: List[str]) -> dict:
     """Run several algorithms against fresh copies of the same source."""
     runs = {}
+    spaces: Spaces = {}
     for alg in algs:
-        cell = RunSpec(alg=alg, source=spec.source, n=spec.n, k=spec.k,
-                       l=spec.l, alpha=spec.alpha,
-                       delta=4 if alg == "components" else spec.delta,
-                       lam=spec.lam, seed=spec.seed, steps=spec.steps,
-                       oracle=spec.oracle, trace=spec.trace,
-                       p_in=spec.p_in, p_out=spec.p_out)
+        cell = replace(spec, alg=alg, out=None,
+                       delta=4 if alg == "components" else spec.delta)
         cell.validate()
-        report = cmd_run(cell)
+        report = cmd_run(cell, spaces)
         runs[alg] = {key: report[key] for key in
                      ("on_total", "on_comm", "on_mig", "off_total", "ratio")}
     return {"source": spec.source, "n": spec.n, "k": spec.k, "l": spec.l,

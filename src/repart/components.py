@@ -11,10 +11,45 @@ those components ends and they break back into singletons.
 Weight bookkeeping is per unordered component pair. Remote-served requests
 are tracked separately from raw weights because two distinct components can
 share a cluster (their requests cost nothing but still count as weight).
+
+A merge set X has |X| >= 2, vol(X) <= k and com(X) >= (|X|-1)*alpha; an
+epoch set Y has vol(Y) > k and com(Y) >= vol(Y)*alpha. The state is
+merge-exhausted when no merge set exists. Weights are positive integers and
+sizes at least 1, so the searches can be narrowed by three lemmas:
+
+1. Merge core (precondition: merge-exhausted before the step's weight
+   increment on the pair S of touched components). Every merge set X now
+   contains S. Each c in X outside S has w(c, X-c) >= alpha, as otherwise
+   com(X-c) >= (|X-c|-1)*alpha + 1 and X-c qualified before the step.
+   X is connected: were it split into A (holding S, which is an edge) and
+   B with no weight between them, then com(B) <= (|B|-1)*alpha, since B
+   does not hold S, so com(A) >= |A|*alpha and A qualified before the
+   step. With at most k - vol(S) members outside S, every member lies
+   within k - vol(S) hops of S.
+2. Epoch core (precondition: merge-exhausted, which holds after the merge,
+   since a set with the new component would have extended the maximum X).
+   A nonempty set with com >= vol*alpha then has vol > k: a singleton has
+   com 0, and a larger set of vol <= k would be a merge set. So each c
+   outside the seed of a minimum-cardinality Y has w(c, Y-c) >
+   alpha*size(c), or else Y-c, which holds the seed, would be a smaller
+   epoch set. If moreover no epoch set avoids the seed, Y is connected.
+3. Residual core (no precondition). A merge set of minimum cardinality has
+   w(c, X-c) >= alpha and size(c) <= k-1 for every member, or dropping c
+   would leave a smaller one. So a merge set exists iff one exists inside
+   the alpha-core: what remains after peeling components whose weight into
+   the rest is below alpha or whose size exceeds k-1.
+
+In each case every answer lies in what survives peeling (peeling removes c
+only when its weight into a superset of the answer is already too low), so
+the public searches, run on the survivors, return exactly what they return
+on all components. `step` relies on lemmas 1 and 2 and so on the invariant
+that `residual_merge_set` checks after every step; that check relies on
+lemma 3 only, and falls back to a search over all components whenever the
+core holds a merge set.
 """
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import Configuration, GeometryError, Params, Request, new_configuration
 
@@ -41,23 +76,70 @@ def _pair(a: int, b: int) -> PairKey:
 # ---------------------------------------------------------------------------
 # Subset searches over a weighted component graph.
 #
-# Both searches enumerate subsets of the component ids in ascending id order
-# (include/exclude DFS). That order plus a full-key comparison gives the
+# Both searches grow subsets of the candidate ids depth first, adding members
+# in ascending id order. That order plus a full-key comparison gives the
 # deterministic tie-breaks. Prunes only ever discard subsets that provably
 # cannot beat the incumbent, so results match naive enumeration exactly.
+# Weights are request counts, read under their (low, high) keys only, as
+# _pair makes them; entries that are not positive carry no traffic. Sizes
+# are at least 1.
+#
+# Both searches cut with a density bound. Say each member c of a set costs
+# charge(c): alpha for a merge set, whose com must reach (|X|-1)*alpha, and
+# alpha*size(c) for an epoch set, com >= alpha*vol. Adding candidates T to
+# the chosen set S changes 2*(com - charge) by the sum over c in T of
+# 2*(gain(c) - charge(c)) + w(c, T - c), where gain(c) = w(c, S) is kept
+# current as members are added and taken back. A branch is cut when even
+# the positive terms cannot lift 2*(com - charge) to zero, with w(c, T - c)
+# bounded by c's weight to the candidates still to come (epoch sets), or to
+# its k-vol-1 heaviest neighbours, since no more than k-vol members fit
+# (merge sets, where also only the k-vol largest terms count).
 
 
-def _weight_degrees(comps: Sequence[int],
-                    weights: Dict[PairKey, int]) -> Dict[int, int]:
-    deg = {c: 0 for c in comps}
+def _adjacency(weights: Dict[PairKey, int],
+               keep) -> Dict[int, Dict[int, int]]:
+    """Positive weights per component, between components in `keep`; a
+    component without any has no entry."""
+    nbrs: Dict[int, Dict[int, int]] = {}
     for (a, b), w in weights.items():
-        if w <= 0:
+        if w > 0 and a < b and a in keep and b in keep:
+            nbrs.setdefault(a, {})[b] = w
+            nbrs.setdefault(b, {})[a] = w
+    return nbrs
+
+
+def _search_graph(sizes: Dict[int, int], weights: Dict[PairKey, int],
+                  seed: Sequence[int]):
+    """The non-seed candidates in id order, and by position in that order
+    their sizes, their weights into the seed and their weights to one
+    another as (position, weight) lists; and the seed's own com."""
+    seed = set(seed)
+    comps = sorted(c for c in sizes if c not in seed)
+    at = {c: j for j, c in enumerate(comps)}
+    gain = [0] * len(comps)
+    edges: List[List[Tuple[int, int]]] = [[] for _ in comps]
+    com0 = 0
+    for (a, b), w in weights.items():
+        if w <= 0 or a >= b:
             continue
-        if a in deg:
-            deg[a] += w
-        if b in deg:
-            deg[b] += w
-    return deg
+        if a in at:
+            if b in at:
+                edges[at[a]].append((at[b], w))
+                edges[at[b]].append((at[a], w))
+            elif b in seed:
+                gain[at[a]] += w
+        elif a in seed:
+            if b in at:
+                gain[at[b]] += w
+            elif b in seed:
+                com0 += w
+    return comps, [sizes[c] for c in comps], gain, edges, com0
+
+
+def _shift(edges: List[Tuple[int, int]], counter: List[int], sign: int):
+    """Add (sign 1) or take back (sign -1) one candidate's edge weights."""
+    for d, w in edges:
+        counter[d] += sign * w
 
 
 def find_merge_set(sizes: Dict[int, int], weights: Dict[PairKey, int],
@@ -70,22 +152,19 @@ def find_merge_set(sizes: Dict[int, int], weights: Dict[PairKey, int],
     search to supersets of the given ids (callers must know every qualifying
     set contains them; the empty seed searches everything).
     """
-    comps = sorted(c for c in sizes if c not in seed)
     seed = tuple(sorted(seed))
     vol0 = sum(sizes[c] for c in seed)
     if vol0 > k:
         return ()
-    com0 = 0
-    for i, a in enumerate(seed):
-        for b in seed[i + 1:]:
-            com0 += weights.get((a, b), 0)
-    # deg counts a component's edges to everyone, seed included, so it
-    # upper-bounds the com a future pick can add.
-    deg = _weight_degrees(comps, weights)
+    comps, size, gain, edges, com0 = _search_graph(sizes, weights, seed)
     m = len(comps)
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + deg[comps[i]]
+    # heaviest[j][r]: the sum of candidate j's r heaviest weights
+    heaviest = []
+    for adj in edges:
+        sums = [0]
+        for w in sorted((w for _, w in adj), reverse=True)[:k - 1]:
+            sums.append(sums[-1] + w)
+        heaviest.append(sums + [sums[-1]] * (k - len(sums)))
 
     best_key: Optional[Tuple[int, int, Tuple[int, ...]]] = None
     best: Tuple[int, ...] = ()
@@ -99,24 +178,25 @@ def find_merge_set(sizes: Dict[int, int], weights: Dict[PairKey, int],
         if best_key is None or key < best_key:
             best_key, best = key, chosen
 
-    def dfs(i: int, chosen: Tuple[int, ...], vol: int, com: int):
-        if i == m:
+    def grow(i: int, chosen: Tuple[int, ...], vol: int, com: int):
+        card, room = len(chosen), k - vol
+        if best_key is not None and card + room < -best_key[0]:
             return
-        card = len(chosen)
-        if best_key is not None and card + (k - vol) < -best_key[0]:
+        fits = [j for j in range(i, m) if size[j] <= room]
+        lifts = sorted([2 * (gain[j] - alpha) + heaviest[j][room - 1]
+                        for j in fits])
+        if 2 * (com - (card - 1) * alpha) + sum(
+                lift for lift in lifts[-room:] if lift > 0) < 0:
             return
-        if com + suffix[i] < (max(card + 1, 2) - 1) * alpha:
-            return
-        c = comps[i]
-        if vol + sizes[c] <= k:
-            gained = sum(weights.get(_pair(c, d), 0) for d in chosen)
-            new = tuple(sorted(chosen + (c,)))
-            consider(new, com + gained)
-            dfs(i + 1, new, vol + sizes[c], com + gained)
-        dfs(i + 1, chosen, vol, com)
+        for j in fits:
+            new = tuple(sorted(chosen + (comps[j],)))
+            consider(new, com + gain[j])
+            _shift(edges[j], gain, 1)
+            grow(j + 1, new, vol + size[j], com + gain[j])
+            _shift(edges[j], gain, -1)
 
     consider(seed, com0)
-    dfs(0, seed, vol0, com0)
+    grow(0, seed, vol0, com0)
     return best
 
 
@@ -128,23 +208,16 @@ def find_epoch_set(sizes: Dict[int, int], weights: Dict[PairKey, int],
     Smallest |Y| first, then smallest vol(Y), then lexicographic ids; a
     minimum-cardinality qualifying set never contains a qualifying proper
     subset, so this realizes inclusion-minimality. Returns () when no set
-    qualifies.
+    qualifies. `seed` restricts the search to supersets of the given ids.
     """
-    total = sum(w for w in weights.values() if w > 0)
-    if total < (k + 1) * alpha:
+    if sum(w for w in weights.values() if w > 0) < (k + 1) * alpha:
         return ()
-    comps = sorted(c for c in sizes if c not in seed)
     seed = tuple(sorted(seed))
     vol0 = sum(sizes[c] for c in seed)
-    com0 = 0
-    for i, a in enumerate(seed):
-        for b in seed[i + 1:]:
-            com0 += weights.get((a, b), 0)
-    deg = _weight_degrees(comps, weights)
+    comps, size, gain, edges, com0 = _search_graph(sizes, weights, seed)
     m = len(comps)
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + deg[comps[i]]
+    # later[j]: candidate j's weight to the candidates after the current one
+    later = [sum(w for _, w in adj) for adj in edges]
 
     best_key: Optional[Tuple[int, int, Tuple[int, ...]]] = None
     best: Tuple[int, ...] = ()
@@ -157,24 +230,65 @@ def find_epoch_set(sizes: Dict[int, int], weights: Dict[PairKey, int],
         if best_key is None or key < best_key:
             best_key, best = key, chosen
 
-    def dfs(i: int, chosen: Tuple[int, ...], vol: int, com: int):
-        if i == m:
+    def grow(i: int, chosen: Tuple[int, ...], vol: int, com: int):
+        if best_key is not None and len(chosen) >= best_key[0]:
             return
-        card = len(chosen)
-        if best_key is not None and card >= best_key[0]:
+        lifts = [2 * (gain[j] - alpha * size[j]) + later[j]
+                 for j in range(i, m)]
+        if 2 * (com - alpha * vol) + sum(
+                lift for lift in lifts if lift > 0) < 0:
             return
-        if com + suffix[i] < alpha * max(vol + 1, k + 1):
-            return
-        c = comps[i]
-        gained = sum(weights.get(_pair(c, d), 0) for d in chosen)
-        new = tuple(sorted(chosen + (c,)))
-        consider(new, vol + sizes[c], com + gained)
-        dfs(i + 1, new, vol + sizes[c], com + gained)
-        dfs(i + 1, chosen, vol, com)
+        for j in range(i, m):
+            _shift(edges[j], later, -1)
+            new = tuple(sorted(chosen + (comps[j],)))
+            consider(new, vol + size[j], com + gain[j])
+            _shift(edges[j], gain, 1)
+            grow(j + 1, new, vol + size[j], com + gain[j])
+            _shift(edges[j], gain, -1)
+        for j in range(i, m):
+            _shift(edges[j], later, 1)
 
     consider(seed, vol0, com0)
-    dfs(0, seed, vol0, com0)
+    grow(0, seed, vol0, com0)
     return best
+
+
+def _peel(cands: Set[int], nbrs: Dict[int, Dict[int, int]],
+          seed: Sequence[int], need: Callable[[int], int]) -> Set[int]:
+    """Drop non-seed candidates while their weight into the rest is below
+    need(c) > 0. What remains contains every set of candidates holding the
+    seed in which each other member c has w(c, set - c) >= need(c)."""
+    alive = {c for c in cands if c in nbrs}
+    alive.update(seed)
+    into = {c: sum(w for d, w in nbrs.get(c, {}).items() if d in alive)
+            for c in alive}
+    doomed = [c for c in alive if c not in seed and into[c] < need(c)]
+    while doomed:
+        c = doomed.pop()
+        if c not in alive:
+            continue
+        alive.remove(c)
+        for d, w in nbrs[c].items():
+            if d in alive:
+                into[d] -= w
+                if d not in seed and into[d] < need(d):
+                    doomed.append(d)
+    return alive
+
+
+def _within(nbrs: Dict[int, Dict[int, int]], seed: Sequence[int], hops: int,
+            keep: Callable[[int], bool]) -> Set[int]:
+    """The components at most `hops` edges from the seed along paths
+    through components that `keep` accepts."""
+    reached = set(seed)
+    frontier = list(seed)
+    for _ in range(hops):
+        frontier = [d for c in frontier for d in nbrs.get(c, ())
+                    if d not in reached and keep(d)]
+        if not frontier:
+            break
+        reached.update(frontier)
+    return reached
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +325,8 @@ class ComponentRepartitioner:
         self.next_cid = self.n
 
         self.weights: Dict[PairKey, int] = {}
+        # weights per component, rebuilt after merges and epoch ends
+        self.nbrs: Dict[int, Dict[int, int]] = {}
         self.pair_remote: Dict[PairKey, int] = {}
         self.comm_paid: Dict[int, int] = {v: 0 for v in range(self.n)}
         self.move_count: Dict[int, int] = {v: 0 for v in range(self.n)}
@@ -241,6 +357,14 @@ class ComponentRepartitioner:
     def sizes(self) -> Dict[int, int]:
         return {cid: len(nodes) for cid, nodes in self.comp_nodes.items()}
 
+    def _subgraph(self, comps: Set[int]
+                  ) -> Tuple[Dict[int, int], Dict[PairKey, int]]:
+        """The sizes of `comps` and the weights among them."""
+        return ({c: len(self.comp_nodes[c]) for c in comps},
+                {(a, b): w for a in comps
+                 for b, w in self.nbrs.get(a, {}).items()
+                 if a < b and b in comps})
+
     # -- step ---------------------------------------------------------------
 
     def step(self, config: Configuration, req: Request) -> Tuple[List[Move], List[Move]]:
@@ -250,15 +374,31 @@ class ComponentRepartitioner:
         epoch_fired = False
         if cu != cv:
             key = _pair(cu, cv)
-            self.weights[key] = self.weights.get(key, 0) + 1
+            w = self.weights[key] = self.weights.get(key, 0) + 1
+            self.nbrs.setdefault(cu, {})[cv] = w
+            self.nbrs.setdefault(cv, {})[cu] = w
+            # lemma 1: every merge set holds the seed, lies in its alpha core
+            # and within `room` hops of it
+            seed = (cu, cv)
+            nodes = self.comp_nodes
+            room = self.k - len(nodes[cu]) - len(nodes[cv])
+            near = set(seed)
+            if room > 0:
+                ball = _within(self.nbrs, seed, room,
+                               lambda c: len(nodes[c]) <= room)
+                core = _peel(ball, self.nbrs, seed, lambda c: self.alpha)
+                near = _within(self.nbrs, seed, room, core.__contains__)
             merge_set = find_merge_set(
-                self.sizes(), self.weights, self.k, self.alpha, seed=(cu, cv))
+                *self._subgraph(near), self.k, self.alpha, seed=seed)
             if len(merge_set) > 1:
                 moves += self._merge(merge_set)
-            seeds = {self.comp_of[u], self.comp_of[v]}
+            # lemma 2: each member of the minimum epoch set outside the
+            # seeds has weight above alpha*size into the rest of it
+            seeds = tuple({self.comp_of[u], self.comp_of[v]})
+            dense = _peel(set(self.nbrs), self.nbrs, seeds,
+                          lambda c: self.alpha * len(nodes[c]) + 1)
             epoch_set = find_epoch_set(
-                self.sizes(), self.weights, self.k, self.alpha,
-                seed=tuple(seeds))
+                *self._subgraph(dense), self.k, self.alpha, seed=seeds)
             if epoch_set:
                 moves += self._end_epoch(epoch_set)
                 epoch_fired = True
@@ -344,6 +484,7 @@ class ComponentRepartitioner:
         self.comp_reserved[cid] = new_reserved
         for node in nodes:
             self.comp_of[node] = cid
+        self.nbrs = _adjacency(self.weights, self.comp_nodes)
         return moves
 
     # -- epoch end ----------------------------------------------------------
@@ -379,6 +520,7 @@ class ComponentRepartitioner:
         self.pair_remote = {
             key: w for key, w in self.pair_remote.items()
             if key[0] not in inside and key[1] not in inside}
+        self.nbrs = _adjacency(self.weights, self.comp_nodes)
 
         moves: List[Move] = []
         evicted = 0
@@ -426,15 +568,22 @@ class ComponentRepartitioner:
     def residual_merge_set(self) -> Tuple[int, ...]:
         """Generic merge search restricted to weight-bearing components.
 
-        Isolated components only raise the cardinality requirement without
-        adding traffic, so a qualifying set exists iff one exists among
-        components with positive weight degree. Empty means the state is
-        merge-exhausted, as it must be after every completed step.
+        Empty means the state is merge-exhausted, as it must be after every
+        completed step. By lemma 3 a merge set exists iff the alpha-core
+        holds one, so the common empty answer costs a search of the core;
+        otherwise the search runs over every component with positive weight
+        (isolated ones only raise the cardinality requirement).
         """
+        # from the weights, not from self.nbrs: the check trusts no derived state
         sizes = self.sizes()
-        deg = _weight_degrees(sorted(sizes), self.weights)
-        live = {c: s for c, s in sizes.items() if deg[c] > 0}
-        return find_merge_set(live, self.weights, self.k, self.alpha)
+        nbrs = _adjacency(self.weights, sizes)
+        small = {c for c, s in sizes.items() if s < self.k}
+        core = _peel(small, nbrs, (), lambda c: self.alpha)
+        if not core or not find_merge_set(
+                {c: sizes[c] for c in core}, self.weights, self.k, self.alpha):
+            return ()
+        return find_merge_set({c: sizes[c] for c in nbrs},
+                              self.weights, self.k, self.alpha)
 
     def check_invariants(self, config: Optional[Configuration] = None) -> List[str]:
         errs = list(self.violations)

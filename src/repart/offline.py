@@ -176,6 +176,18 @@ class PartitionSpace:
         return self._trans
 
 
+def _space_for(params: Params, space: Optional[PartitionSpace]) -> PartitionSpace:
+    """The given space, or a new one; a space built for another shape or
+    alpha would price every move wrong (delta never enters the offline cost)."""
+    if space is None:
+        return PartitionSpace(params)
+    built, wanted = ((p.n, p.k, p.ell, p.alpha) for p in (space.params, params))
+    if built != wanted:
+        raise ValueError("partition space built for (n, k, ell, alpha) = %r, "
+                         "not %r" % (built, wanted))
+    return space
+
+
 def optimal_cost(requests: Sequence[Request], params: Params,
                  initial: Configuration,
                  space: Optional[PartitionSpace] = None
@@ -190,8 +202,7 @@ def optimal_cost(requests: Sequence[Request], params: Params,
     from bisect import bisect_right
     from operator import add
 
-    if space is None:
-        space = PartitionSpace(params)
+    space = _space_for(params, space)
     trans = space.transitions()
     start = space.state_of(initial)
     gap = 2 * space.params.alpha
@@ -234,8 +245,7 @@ def static_optimal(requests: Sequence[Request], params: Params,
                    space: Optional[PartitionSpace] = None
                    ) -> Tuple[int, Partition]:
     """Best single partition: pay once to reach it, then never move."""
-    if space is None:
-        space = PartitionSpace(params)
+    space = _space_for(params, space)
     start = space.state_of(initial)
     counts: Dict[Tuple[int, int], int] = {}
     for r in requests:

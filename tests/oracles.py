@@ -2,15 +2,22 @@
 
 The search references enumerate exhaustively with no pruning or early
 exit, so they are slow but obviously faithful to the selection rules;
-they are usable up to roughly ten components. The placement and
-pair-counter references rebuild or scan everything on every call, and
-the offline references scan every pair of states on every request.
+they are usable up to roughly ten components. The component reference
+runs the algorithm's searches over every component instead of the narrowed
+candidates. The placement and pair-counter references rebuild or scan
+everything on every call, and the offline references scan every pair of
+states on every request.
 """
 
 import itertools
 import math
 from typing import List, Optional, Sequence, Tuple
 
+from repart.components import (
+    ComponentRepartitioner,
+    find_epoch_set,
+    find_merge_set,
+)
 from repart.core import (
     Configuration,
     Params,
@@ -31,13 +38,16 @@ def internal_weight(subset, weights):
     return total
 
 
-def naive_merge_set(sizes, weights, k, alpha):
-    """Max |X| with vol <= k and com >= (|X|-1)*alpha; ties max com, then lex."""
+def naive_merge_set(sizes, weights, k, alpha, seed=()):
+    """Max |X| with vol <= k and com >= (|X|-1)*alpha; ties max com, then lex.
+    Only supersets of `seed` count."""
     best_key = None
     best = ()
     comps = sorted(sizes)
     for r in range(2, len(comps) + 1):
         for sub in itertools.combinations(comps, r):
+            if not set(seed) <= set(sub):
+                continue
             if sum(sizes[c] for c in sub) > k:
                 continue
             com = internal_weight(sub, weights)
@@ -49,14 +59,17 @@ def naive_merge_set(sizes, weights, k, alpha):
     return best
 
 
-def naive_epoch_set(sizes, weights, k, alpha):
+def naive_epoch_set(sizes, weights, k, alpha, seed=()):
     """Inclusion-minimal sets with vol > k, com >= vol*alpha; pick the
     smallest by (|Y|, vol, lex). The minimality filter is literal: a
-    qualifying set survives only if no qualifying proper subset exists."""
+    qualifying set survives only if no qualifying proper subset exists.
+    Only supersets of `seed` count, for qualifying and for minimality."""
     comps = sorted(sizes)
     qualifying = []
     for r in range(1, len(comps) + 1):
         for sub in itertools.combinations(comps, r):
+            if not set(seed) <= set(sub):
+                continue
             vol = sum(sizes[c] for c in sub)
             if vol <= k:
                 continue
@@ -80,6 +93,57 @@ def random_component_graph(rng, k):
         if rng.random() < 0.45:
             weights[(a, b)] = rng.randint(1, 3 * k)
     return sizes, weights
+
+
+def dense_component_graph(rng, k, alpha):
+    """Up to ten mostly unit-size components with dense weights near
+    alpha: the shape the algorithm's states have, where the searches' caps
+    on how many members fit matter."""
+    count = rng.randint(2, 10)
+    ids = rng.sample(range(30), count)
+    sizes = {c: 1 if rng.random() < 0.8 else rng.randint(1, k) for c in ids}
+    weights = {}
+    for a, b in itertools.combinations(sorted(ids), 2):
+        if rng.random() < 0.6:
+            weights[(a, b)] = rng.randint(1, alpha + 1)
+    return sizes, weights
+
+
+class ReferenceComponents(ComponentRepartitioner):
+    """ComponentRepartitioner whose step and residual check search every
+    component, as they did before the searches were narrowed to the
+    candidates the merge-exhaustion lemmas leave."""
+
+    def step(self, config, req):
+        u, v = req.u, req.v
+        cu, cv = self.comp_of[u], self.comp_of[v]
+        moves = []
+        epoch_fired = False
+        if cu != cv:
+            key = (min(cu, cv), max(cu, cv))
+            self.weights[key] = self.weights.get(key, 0) + 1
+            merge_set = find_merge_set(
+                self.sizes(), self.weights, self.k, self.alpha, seed=(cu, cv))
+            if len(merge_set) > 1:
+                moves += self._merge(merge_set)
+            seeds = {self.comp_of[u], self.comp_of[v]}
+            epoch_set = find_epoch_set(
+                self.sizes(), self.weights, self.k, self.alpha,
+                seed=tuple(seeds))
+            if epoch_set:
+                moves += self._end_epoch(epoch_set)
+                epoch_fired = True
+        fu, fv = self.comp_of[u], self.comp_of[v]
+        if not epoch_fired and self.comp_cluster[fu] != self.comp_cluster[fv]:
+            pk = (min(fu, fv), max(fu, fv))
+            self.pair_remote[pk] = self.pair_remote.get(pk, 0) + 1
+        return moves, []
+
+    def residual_merge_set(self):
+        sizes = self.sizes()
+        live = {c: s for c, s in sizes.items()
+                if any(w > 0 and c in key for key, w in self.weights.items())}
+        return find_merge_set(live, self.weights, self.k, self.alpha)
 
 
 # -- placement and pair-counter references ------------------------------------
@@ -278,30 +342,6 @@ def serve_scan_static_optimal(requests: Sequence[Request], params: Params,
             best = c
             best_state = s
     return best, space.partitions[best_state]
-
-
-def exhaustive_optimal(requests: Sequence[Request], params: Params,
-                       initial: Configuration,
-                       space: Optional[PartitionSpace] = None) -> int:
-    """Brute force over every state sequence. Tiny instances only."""
-    if space is None:
-        space = PartitionSpace(params)
-    if len(requests) > 8:
-        raise TooLarge("exhaustive search capped at 8 requests")
-    if len(space) > 30:
-        raise TooLarge("exhaustive search capped at 30 partitions")
-    trans = space.transitions()
-    start = space.state_of(initial)
-    best = None
-    for seq in itertools.product(range(len(space)), repeat=len(requests)):
-        cost = 0
-        prev = start
-        for req, s in zip(requests, seq):
-            cost += trans[prev][s] + space.serves(req, s)
-            prev = s
-        if best is None or cost < best:
-            best = cost
-    return 0 if best is None else best
 
 
 def exhaustive_optimal(requests: Sequence[Request], params: Params,

@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+import weakref
 
 import pytest
 
-from repart import cli
+from repart import cli, offline
 
 
 def _spec(**kw):
@@ -165,6 +166,38 @@ def test_sweep_grid_and_error_column():
             assert row["n"] == str(2 * int(row["l"]))
     assert cli.cmd_sweep(base, [2], [2], [1], [0]) == \
         cli.cmd_sweep(base, [2], [2], [1], [0])
+
+
+def test_sweep_and_compare_build_one_space_per_shape(monkeypatch):
+    built, spaces = [], []
+    transitions = offline.PartitionSpace.transitions
+
+    def counted(space):
+        if space._trans is None:
+            # the previous shape's space and its matrix are already freed
+            assert all(ref() is None for ref in spaces)
+            built.append(space.params)
+            spaces.append(weakref.ref(space))
+        return transitions(space)
+
+    monkeypatch.setattr(offline.PartitionSpace, "transitions", counted)
+    base = _spec(alg="naive", steps=30)
+    text = cli.cmd_sweep(base, [2], [2, 4], [1], [0, 1, 2, 3])
+    assert [(p.n, p.k, p.ell) for p in built] == [(4, 2, 2), (8, 2, 4)]
+    # the same rows as one sweep per cell, each building its own space
+    rows = [cli.cmd_sweep(base, [2], [l], [1], [seed]).splitlines()[1]
+            for l in (2, 4) for seed in range(4)]
+    assert text.splitlines()[1:] == rows
+    assert len(built) == 2 + 8
+
+    built.clear()
+    algs = ["greedy", "naive", "components"]
+    report = cli.cmd_compare(_spec(steps=40, seed=2), algs)
+    assert len(built) == 1
+    for alg in algs:
+        alone = cli.cmd_compare(_spec(steps=40, seed=2), [alg])
+        assert alone["runs"][alg] == report["runs"][alg]
+    assert all(run["off_total"] is not None for run in report["runs"].values())
 
 
 def test_sweep_via_main_writes_csv(tmp_path):

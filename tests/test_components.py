@@ -1,18 +1,29 @@
 """Component repartitioner: subset searches, merges, epoch resets, invariants.
 
-The fast include/exclude searches are validated against the naive
-enumerations in oracles.py before anything else relies on them.
+The pruned subset searches are validated against the naive enumerations in
+oracles.py before anything else relies on them, and the algorithm, which
+narrows each search to the components that can be in its answer, runs in
+lockstep with the reference that searches all of them.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_epoch_set, naive_merge_set, random_component_graph
+from oracles import (
+    ReferenceComponents,
+    dense_component_graph,
+    naive_epoch_set,
+    naive_merge_set,
+    random_component_graph,
+)
 from repart.adversaries import PlantedPartition, RandomPairs, TraceSource
 from repart.components import (
     ComponentRepartitioner,
     InsufficientAugmentation,
+    _adjacency,
     find_epoch_set,
     find_merge_set,
 )
@@ -106,6 +117,25 @@ def test_seeded_searches_match_unseeded_on_their_own_answers():
             assert find_epoch_set(sizes, weights, k, alpha,
                                   seed=full[:1]) == full
     assert hits > 20  # the graphs actually exercised the seeded path
+
+
+def test_seeded_searches_agree_with_naive_enumeration():
+    rng = random.Random(400)
+    hits = 0
+    for i in range(600):
+        k = rng.randint(2, 5)
+        alpha = rng.randint(1, 3)
+        if i % 2:
+            sizes, weights = random_component_graph(rng, k)
+        else:
+            sizes, weights = dense_component_graph(rng, k, alpha)
+        seed = tuple(rng.sample(sorted(sizes), rng.randint(0, 2)))
+        epoch = find_epoch_set(sizes, weights, k, alpha, seed=seed)
+        assert epoch == naive_epoch_set(sizes, weights, k, alpha, seed=seed)
+        assert find_merge_set(sizes, weights, k, alpha, seed=seed) == \
+            naive_merge_set(sizes, weights, k, alpha, seed=seed)
+        hits += bool(epoch)
+    assert hits > 50
 
 
 # -- initial layout ----------------------------------------------------------
@@ -282,6 +312,64 @@ def test_no_qualifying_set_survives_any_step():
 
         run(alg, RandomPairs(n * k, n, 250), p, alg.start, 250,
             observer=check)
+
+
+@st.composite
+def component_streams(draw):
+    """Params, a request source (random, planted, or a drawn list of pairs
+    on few nodes, so that they repeat) and a step count."""
+    k, ell = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    n = k * ell
+    params = Params(n, k, ell, alpha=draw(st.integers(1, 3)), delta=4)
+    steps = draw(st.integers(1, 120))
+    kind = draw(st.sampled_from(("random", "planted", "pairs")))
+    seed = draw(st.integers(0, 2 ** 32))
+    if kind == "random":
+        return params, RandomPairs(seed, n, steps), steps
+    if kind == "planted":
+        return params, PlantedPartition(seed, params, 0.9, 0.1, steps=steps), steps
+    nodes = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=6,
+                          unique=True))
+    pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+        lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, min_size=1, max_size=steps))
+    return params, TraceSource([Request(min(p), max(p)) for p in pairs]), steps
+
+
+def _same_state(alg, ref):
+    for name in ("weights", "pair_remote", "comp_nodes", "comp_cluster",
+                 "comp_reserved"):
+        assert getattr(alg, name) == getattr(ref, name), name
+    assert alg.nbrs == _adjacency(alg.weights, alg.comp_nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_streams(), st.data())
+def test_narrowed_searches_match_the_full_reference(case, data):
+    params, src, steps = case
+    alg = ComponentRepartitioner(params, contiguous_configuration(params))
+    ref = ReferenceComponents(params, contiguous_configuration(params))
+    config = alg.start
+    for t in range(1, steps + 1):
+        req = src.next(config)
+        if req is None:
+            break
+        req = Request(req.u, req.v, t)
+        moves = alg.step(config, req)
+        assert moves == ref.step(config, req), "step %d" % t
+        config, _ = apply_moves(config, moves[0] + moves[1], params.alpha)
+        _same_state(alg, ref)
+        assert alg.residual_merge_set() == ref.residual_merge_set() == ()
+    # The residual check must not lean on the invariant it checks: raise
+    # some pair weights to alpha or more and compare it there too.
+    comps = sorted(alg.comp_nodes)
+    pair = st.lists(st.tuples(st.sampled_from(comps), st.sampled_from(comps),
+                              st.integers(params.alpha, 3 * params.alpha))
+                    .filter(lambda e: e[0] != e[1]), min_size=1, max_size=4)
+    for a, b, w in data.draw(pair):
+        key = (min(a, b), max(a, b))
+        alg.weights[key] = ref.weights[key] = w
+    assert alg.residual_merge_set() == ref.residual_merge_set()
 
 
 def test_invariants_hold_across_random_runs():

@@ -299,3 +299,18 @@ def test_m945_optima_pinned():
         (17, ((0, 9), (1, 3), (2, 7), (4, 6), (5, 8))),
     ]
     assert part == ((0, 9), (1, 3), (2, 7), (4, 6), (5, 8))
+
+
+def test_a_space_for_other_params_is_refused():
+    # priced at alpha=1, the swap that collocates 0 and 2 costs 2 instead of
+    # 6, and the optimum of ten (0, 2) requests would read 2
+    params = Params(4, 2, 2, alpha=3)
+    initial = contiguous_configuration(params)
+    sigma = [Request(0, 2, t) for t in range(1, 11)]
+    wrong = PartitionSpace(Params(4, 2, 2, alpha=1))
+    for oracle in (optimal_cost, static_optimal):
+        with pytest.raises(ValueError):
+            oracle(sigma, params, initial, wrong)
+    right = PartitionSpace(Params(4, 2, 2, alpha=3, delta=4))
+    assert optimal_cost(sigma, params, initial, right)[0] == 6
+    assert static_optimal(sigma, params, initial, right)[0] == 6
