@@ -196,6 +196,9 @@ class PairChase:
             self.w = 0
         a, b = self.pair
         others = [x for x in config.nodes_in(config.cluster_of(b)) if x != b]
+        if not others:
+            raise AdversaryStuck(
+                "pair chase: node %d has no cluster mate to chase" % b)
         self.mate = others[0]
         self.w += 1
         return Request(min(a, b), max(a, b))

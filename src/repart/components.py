@@ -33,23 +33,27 @@ sizes at least 1, so the searches can be narrowed by three lemmas:
    outside the seed of a minimum-cardinality Y has w(c, Y-c) >
    alpha*size(c), or else Y-c, which holds the seed, would be a smaller
    epoch set. If moreover no epoch set avoids the seed, Y is connected.
-3. Residual core (no precondition). A merge set of minimum cardinality has
-   w(c, X-c) >= alpha and size(c) <= k-1 for every member, or dropping c
-   would leave a smaller one. So a merge set exists iff one exists inside
-   the alpha-core: what remains after peeling components whose weight into
-   the rest is below alpha or whose size exceeds k-1.
+3. Residual core (no precondition). Take a merge set X of minimum
+   cardinality. If |X| = 2, X is a pair with w >= alpha and vol <= k. If
+   |X| >= 3, each X-c has at least two members and vol <= k but does not
+   qualify, so com(X-c) <= (|X|-2)*alpha - 1 and w(c, X-c) = com(X) -
+   com(X-c) >= alpha+1; and size(c) <= k-2, as the other members take at
+   least two slots. So a merge set exists iff a pair qualifies or the core
+   holds one: what remains after peeling components whose weight into the
+   rest is at most alpha or whose size exceeds k-2.
 
 In each case every answer lies in what survives peeling (peeling removes c
 only when its weight into a superset of the answer is already too low), so
 the public searches, run on the survivors, return exactly what they return
 on all components. `step` relies on lemmas 1 and 2 and so on the invariant
 that `residual_merge_set` checks after every step; that check relies on
-lemma 3 only, and falls back to a search over all components whenever the
-core holds a merge set.
+lemma 3 only, and falls back to a search over all components whenever a
+pair qualifies or the core holds a merge set.
 """
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .core import Configuration, GeometryError, Params, Request, new_configuration
 
@@ -253,16 +257,20 @@ def find_epoch_set(sizes: Dict[int, int], weights: Dict[PairKey, int],
     return best
 
 
-def _peel(cands: Set[int], nbrs: Dict[int, Dict[int, int]],
+def _peel(cands: Iterable[int], nbrs: Dict[int, Dict[int, int]],
           seed: Sequence[int], need: Callable[[int], int]) -> Set[int]:
     """Drop non-seed candidates while their weight into the rest is below
     need(c) > 0. What remains contains every set of candidates holding the
     seed in which each other member c has w(c, set - c) >= need(c)."""
     alive = {c for c in cands if c in nbrs}
     alive.update(seed)
-    into = {c: sum(w for d, w in nbrs.get(c, {}).items() if d in alive)
-            for c in alive}
-    doomed = [c for c in alive if c not in seed and into[c] < need(c)]
+    if alive.issuperset(nbrs):
+        # every neighbour is alive, so whole rows count
+        into = {c: sum(nbrs[c].values()) for c in alive if c in nbrs}
+    else:
+        into = {c: sum([w for d, w in nbrs[c].items() if d in alive])
+                for c in alive if c in nbrs}
+    doomed = [c for c, w in into.items() if c not in seed and w < need(c)]
     while doomed:
         c = doomed.pop()
         if c not in alive:
@@ -293,6 +301,23 @@ def _within(nbrs: Dict[int, Dict[int, int]], seed: Sequence[int], hops: int,
 
 # ---------------------------------------------------------------------------
 # The online algorithm proper.
+
+
+def _remap(table: Dict[PairKey, int], inside: Set[int],
+           cid: int) -> Tuple[Dict[PairKey, int], int]:
+    """`table` with the components in `inside` merged into `cid`: a key with
+    one end inside moves onto cid, summing with the keys it lands on; keys
+    with both ends inside are dropped and their total is returned."""
+    out: Dict[PairKey, int] = {}
+    internal = 0
+    for (a, b), w in table.items():
+        a_in, b_in = a in inside, b in inside
+        if a_in and b_in:
+            internal += w
+            continue
+        key = _pair(cid, b if a_in else a) if a_in or b_in else (a, b)
+        out[key] = out.get(key, 0) + w
+    return out, internal
 
 
 class ComponentRepartitioner:
@@ -448,31 +473,10 @@ class ComponentRepartitioner:
         cid = self.next_cid
         self.next_cid += 1
         inside = set(members)
-        paid = sum(self.comm_paid.pop(c) for c in members)
-        new_weights: Dict[PairKey, int] = {}
-        for (a, b), w in self.weights.items():
-            a_in, b_in = a in inside, b in inside
-            if a_in and b_in:
-                continue
-            if a_in or b_in:
-                other = b if a_in else a
-                nk = _pair(cid, other)
-                new_weights[nk] = new_weights.get(nk, 0) + w
-            else:
-                new_weights[(a, b)] = new_weights.get((a, b), 0) + w
-        self.weights = {key: w for key, w in new_weights.items() if w > 0}
-        new_remote: Dict[PairKey, int] = {}
-        for (a, b), w in self.pair_remote.items():
-            a_in, b_in = a in inside, b in inside
-            if a_in and b_in:
-                paid += w
-            elif a_in or b_in:
-                other = b if a_in else a
-                nk = _pair(cid, other)
-                new_remote[nk] = new_remote.get(nk, 0) + w
-            else:
-                new_remote[(a, b)] = new_remote.get((a, b), 0) + w
-        self.pair_remote = new_remote
+        weights, _ = _remap(self.weights, inside, cid)
+        self.weights = {key: w for key, w in weights.items() if w > 0}
+        self.pair_remote, paid = _remap(self.pair_remote, inside, cid)
+        paid += sum(self.comm_paid.pop(c) for c in members)
         self.comm_paid[cid] = paid
 
         for c in members:
@@ -569,34 +573,64 @@ class ComponentRepartitioner:
         """Generic merge search restricted to weight-bearing components.
 
         Empty means the state is merge-exhausted, as it must be after every
-        completed step. By lemma 3 a merge set exists iff the alpha-core
-        holds one, so the common empty answer costs a search of the core;
-        otherwise the search runs over every component with positive weight
-        (isolated ones only raise the cardinality requirement).
+        completed step. By lemma 3 a merge set exists iff a pair qualifies
+        or the core holds one, so the common empty answer costs one pass
+        over the weights and a search of the core; otherwise the search
+        runs over every component with positive weight (isolated ones only
+        raise the cardinality requirement).
         """
         # from the weights, not from self.nbrs: the check trusts no derived state
-        sizes = self.sizes()
-        nbrs = _adjacency(self.weights, sizes)
-        small = {c for c, s in sizes.items() if s < self.k}
-        core = _peel(small, nbrs, (), lambda c: self.alpha)
-        if not core or not find_merge_set(
-                {c: sizes[c] for c in core}, self.weights, self.k, self.alpha):
-            return ()
-        return find_merge_set({c: sizes[c] for c in nbrs},
-                              self.weights, self.k, self.alpha)
+        sizes = {c: len(nodes) for c, nodes in self.comp_nodes.items()}
+        k, alpha = self.k, self.alpha
+        small: Dict[int, Dict[int, int]] = {}   # weights among sizes <= k-2
+        pair = False
+        for (a, b), w in self.weights.items():
+            if w <= 0 or a >= b or a not in sizes or b not in sizes:
+                continue
+            if w >= alpha and sizes[a] + sizes[b] <= k:
+                pair = True
+                break
+            if sizes[a] <= k - 2 and sizes[b] <= k - 2:
+                small.setdefault(a, {})[b] = w
+                small.setdefault(b, {})[a] = w
+        if not pair:
+            core = _peel(small.keys(), small, (), lambda c: alpha + 1)
+            if not core or not find_merge_set(
+                    {c: sizes[c] for c in core}, self.weights, k, alpha):
+                return ()
+        live = _adjacency(self.weights, sizes)
+        return find_merge_set({c: sizes[c] for c in live},
+                              self.weights, k, alpha)
 
     def check_invariants(self, config: Optional[Configuration] = None) -> List[str]:
         errs = list(self.violations)
-        sizes = self.sizes()
+        k, alpha, comp_of, moved = self.k, self.alpha, self.comp_of, self.move_count
+        sizes: Dict[int, int] = {}
+        occ, res = [0] * self.clusters, [0] * self.clusters
         seen: Set[int] = set()
+        move_errs: List[str] = []    # reported after the weights and payments
         for cid, nodes in self.comp_nodes.items():
+            size = sizes[cid] = len(nodes)
+            cluster = self.comp_cluster[cid]
+            occ[cluster] += size
+            seen.update(nodes)
+            log = (size - 1).bit_length()       # ceil(log2(size)) for size >= 1
+            per_node_cap = max(1, log)
+            total = 0
             for node in nodes:
-                if self.comp_of[node] != cid:
+                if comp_of[node] != cid:
                     errs.append("node %d not mapped to component %d" % (node, cid))
-                seen.add(node)
+                total += moved[node]
+                if moved[node] > per_node_cap:
+                    move_errs.append("node %d moved %d times in component of %d"
+                                     % (node, moved[node], size))
+            if total > size * log:
+                move_errs.append("component %d total moves %d exceed %d"
+                                 % (cid, total, size * log))
         if seen != set(range(self.n)):
             errs.append("components do not partition the node set")
-        occ, res = self.occupancy(), self.reserved_space()
+        for cid, r in self.comp_reserved.items():
+            res[self.comp_cluster[cid]] += r
         if sum(occ) != self.n:
             errs.append("occupancy sums to %d, not %d" % (sum(occ), self.n))
         for s in range(self.clusters):
@@ -604,10 +638,10 @@ class ComponentRepartitioner:
                 errs.append("cluster %d over capacity: o=%d r=%d"
                             % (s, occ[s], res[s]))
         if max(self.capacity - occ[s] - res[s]
-               for s in range(self.clusters)) < self.k:
+               for s in range(self.clusters)) < k:
             errs.append("no cluster keeps k spare slots")
         for cid, r in self.comp_reserved.items():
-            if not 0 <= r <= max(self.k - 1, 0) or r > sizes[cid]:
+            if not 0 <= r <= max(k - 1, 0) or r > sizes[cid]:
                 errs.append("component %d reserved %d out of range" % (cid, r))
         for (a, b), w in self.weights.items():
             if a not in sizes or b not in sizes:
@@ -615,31 +649,20 @@ class ComponentRepartitioner:
                 continue
             if w <= 0:
                 errs.append("weight %r not positive" % ((a, b),))
-            bound = self.alpha if sizes[a] + sizes[b] <= self.k else (
-                sizes[a] + sizes[b]) * self.alpha
+            vol = sizes[a] + sizes[b]
+            bound = alpha if vol <= k else vol * alpha
             if w >= bound:
                 errs.append("edge %r weight %d breaches %d" % ((a, b), w, bound))
         for cid, paid in self.comm_paid.items():
-            if paid > (sizes[cid] - 1) * self.alpha:
+            if paid > (sizes[cid] - 1) * alpha:
                 errs.append("component %d paid %d remote serves, cap %d"
-                            % (cid, paid, (sizes[cid] - 1) * self.alpha))
-        for cid, nodes in self.comp_nodes.items():
-            per_node_cap = math.ceil(math.log2(max(2, len(nodes))))
-            total = 0
-            for node in nodes:
-                total += self.move_count[node]
-                if self.move_count[node] > per_node_cap:
-                    errs.append("node %d moved %d times in component of %d"
-                                % (node, self.move_count[node], len(nodes)))
-            size = len(nodes)
-            comp_cap = size * math.ceil(math.log2(size)) if size > 1 else 0
-            if total > comp_cap:
-                errs.append("component %d total moves %d exceed %d"
-                            % (cid, total, comp_cap))
+                            % (cid, paid, (sizes[cid] - 1) * alpha))
+        errs += move_errs
         if config is not None:
-            for node in range(self.n):
-                if config.cluster_of(node) != self.comp_cluster[self.comp_of[node]]:
-                    errs.append("node %d placement disagrees with engine" % node)
+            placed, where = config.assignment, self.comp_cluster
+            errs.extend("node %d placement disagrees with engine" % node
+                        for node in range(self.n)
+                        if placed[node] != where[comp_of[node]])
         return errs
 
     def dump_state(self) -> str:

@@ -4,14 +4,14 @@ The search references enumerate exhaustively with no pruning or early
 exit, so they are slow but obviously faithful to the selection rules;
 they are usable up to roughly ten components. The component reference
 runs the algorithm's searches over every component instead of the narrowed
-candidates. The placement and pair-counter references rebuild or scan
+candidates, and checks its invariants with one loop per table. The placement and pair-counter references rebuild or scan
 everything on every call, and the offline references scan every pair of
 states on every request.
 """
 
 import itertools
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repart.components import (
     ComponentRepartitioner,
@@ -112,7 +112,8 @@ def dense_component_graph(rng, k, alpha):
 class ReferenceComponents(ComponentRepartitioner):
     """ComponentRepartitioner whose step and residual check search every
     component, as they did before the searches were narrowed to the
-    candidates the merge-exhaustion lemmas leave."""
+    candidates the merge-exhaustion lemmas leave, and whose invariant check
+    builds the size, occupancy and reservation tables one loop each."""
 
     def step(self, config, req):
         u, v = req.u, req.v
@@ -144,6 +145,63 @@ class ReferenceComponents(ComponentRepartitioner):
         live = {c: s for c, s in sizes.items()
                 if any(w > 0 and c in key for key, w in self.weights.items())}
         return find_merge_set(live, self.weights, self.k, self.alpha)
+
+    def check_invariants(self, config: Optional[Configuration] = None) -> List[str]:
+        errs = list(self.violations)
+        sizes = self.sizes()
+        seen: Set[int] = set()
+        for cid, nodes in self.comp_nodes.items():
+            for node in nodes:
+                if self.comp_of[node] != cid:
+                    errs.append("node %d not mapped to component %d" % (node, cid))
+                seen.add(node)
+        if seen != set(range(self.n)):
+            errs.append("components do not partition the node set")
+        occ, res = self.occupancy(), self.reserved_space()
+        if sum(occ) != self.n:
+            errs.append("occupancy sums to %d, not %d" % (sum(occ), self.n))
+        for s in range(self.clusters):
+            if occ[s] + res[s] > self.capacity:
+                errs.append("cluster %d over capacity: o=%d r=%d"
+                            % (s, occ[s], res[s]))
+        if max(self.capacity - occ[s] - res[s]
+               for s in range(self.clusters)) < self.k:
+            errs.append("no cluster keeps k spare slots")
+        for cid, r in self.comp_reserved.items():
+            if not 0 <= r <= max(self.k - 1, 0) or r > sizes[cid]:
+                errs.append("component %d reserved %d out of range" % (cid, r))
+        for (a, b), w in self.weights.items():
+            if a not in sizes or b not in sizes:
+                errs.append("weight %r keyed to a dead component" % ((a, b),))
+                continue
+            if w <= 0:
+                errs.append("weight %r not positive" % ((a, b),))
+            bound = self.alpha if sizes[a] + sizes[b] <= self.k else (
+                sizes[a] + sizes[b]) * self.alpha
+            if w >= bound:
+                errs.append("edge %r weight %d breaches %d" % ((a, b), w, bound))
+        for cid, paid in self.comm_paid.items():
+            if paid > (sizes[cid] - 1) * self.alpha:
+                errs.append("component %d paid %d remote serves, cap %d"
+                            % (cid, paid, (sizes[cid] - 1) * self.alpha))
+        for cid, nodes in self.comp_nodes.items():
+            per_node_cap = math.ceil(math.log2(max(2, len(nodes))))
+            total = 0
+            for node in nodes:
+                total += self.move_count[node]
+                if self.move_count[node] > per_node_cap:
+                    errs.append("node %d moved %d times in component of %d"
+                                % (node, self.move_count[node], len(nodes)))
+            size = len(nodes)
+            comp_cap = size * math.ceil(math.log2(size)) if size > 1 else 0
+            if total > comp_cap:
+                errs.append("component %d total moves %d exceed %d"
+                            % (cid, total, comp_cap))
+        if config is not None:
+            for node in range(self.n):
+                if config.cluster_of(node) != self.comp_cluster[self.comp_of[node]]:
+                    errs.append("node %d placement disagrees with engine" % node)
+        return errs
 
 
 # -- placement and pair-counter references ------------------------------------

@@ -222,6 +222,18 @@ def test_compare_runs_each_algorithm(capsys):
     assert naive["on_total"] <= null["on_total"] + 100  # both ran end to end
 
 
+def test_pair_chase_without_a_cluster_mate_is_an_error(capsys):
+    # the component algorithm's doubled clusters are half empty, so the
+    # chased node can sit alone and the chase has no mate to follow
+    rc = cli.main(["run", "--alg", "components", "--source", "pair_chase",
+                   "--n", "4", "--k", "2", "--l", "2", "--oracle", "none"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: pair chase: node 3 has no cluster mate to chase\n")
+
+
 def test_run_via_main_prints_json(capsys):
     rc = cli.main(["run", "--alg", "null", "--source", "ring", "--n", "6",
                    "--k", "2", "--l", "3", "--steps", "12"])

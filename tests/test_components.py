@@ -138,6 +138,38 @@ def test_seeded_searches_agree_with_naive_enumeration():
     assert hits > 50
 
 
+def test_residual_check_agrees_with_naive_enumeration():
+    # the residual check on arbitrary graphs, not only on reachable states:
+    # components of sizes 1..k get the graph's weights, and the answer must
+    # be the naive search over the components that carry any weight. Weights
+    # below alpha leave no qualifying pair, so only the core can hold one.
+    rng = random.Random(500)
+    found = in_core = 0
+    for i in range(900):
+        k = rng.randint(2, 5)
+        alpha = rng.randint(1, 3)
+        if i % 2:
+            sizes, weights = random_component_graph(rng, k)
+        else:
+            sizes, weights = dense_component_graph(rng, k, alpha)
+        top = rng.choice((max(alpha - 1, 1), alpha + 1, 3 * alpha))
+        weights = {key: rng.randint(1, top) for key in weights}
+        p = Params(2 * k, k, 2, alpha=alpha, delta=4)
+        alg = ComponentRepartitioner(p, contiguous_configuration(p))
+        # the check reads only the node lists' lengths
+        alg.comp_nodes = {c: [c] * size for c, size in sizes.items()}
+        alg.weights = dict(weights)
+        live = {c: size for c, size in sizes.items()
+                if any(c in key for key in weights)}
+        expected = naive_merge_set(live, weights, k, alpha)
+        assert alg.residual_merge_set() == expected, (k, alpha, sizes, weights)
+        found += len(expected) > 1
+        pairless = not any(w >= alpha and sizes[a] + sizes[b] <= k
+                           for (a, b), w in weights.items())
+        in_core += len(expected) > 1 and pairless
+    assert found > 100 and in_core > 10
+
+
 # -- initial layout ----------------------------------------------------------
 
 
@@ -370,6 +402,90 @@ def test_narrowed_searches_match_the_full_reference(case, data):
         key = (min(a, b), max(a, b))
         alg.weights[key] = ref.weights[key] = w
     assert alg.residual_merge_set() == ref.residual_merge_set()
+
+
+@st.composite
+def tampered_states(draw):
+    """A state reached by a drawn stream, then edited: component ids,
+    payments, move counts, reservations and clusters of live components,
+    weights that are not positive or keyed to a dead component, a live
+    component's reservation dropped, a payment or a reservation (with or
+    without a cluster) keyed to a dead component, and an engine placement
+    with two nodes swapped."""
+    params, src, steps = draw(component_streams())
+    alg = ComponentRepartitioner(params, contiguous_configuration(params))
+    config = alg.start
+    for t in range(1, steps + 1):
+        req = src.next(config)
+        if req is None:
+            break
+        pre, post = alg.step(config, Request(req.u, req.v, t))
+        config, _ = apply_moves(config, pre + post, params.alpha)
+    k, alpha, n = params.k, params.alpha, params.n
+    comps, nodes = sorted(alg.comp_nodes), range(n)
+    dead = [c for c in range(alg.next_cid + 1) if c not in alg.comp_nodes]
+    edit = st.one_of(
+        st.tuples(st.just("comp_of"), st.sampled_from(nodes),
+                  st.sampled_from(comps)),
+        st.tuples(st.just("comm_paid"), st.sampled_from(comps),
+                  st.integers(0, k * alpha)),
+        st.tuples(st.just("move_count"), st.sampled_from(nodes),
+                  st.integers(0, 3)),
+        st.tuples(st.just("comp_reserved"), st.sampled_from(comps),
+                  st.integers(-1, k + 1)),
+        st.tuples(st.just("comp_cluster"), st.sampled_from(comps),
+                  st.integers(0, alg.clusters - 1)),
+        st.tuples(st.just("weights"), st.tuples(st.sampled_from(comps),
+                                                st.sampled_from(comps)),
+                  st.integers(-1, 3 * alpha)),
+        st.tuples(st.just("weights"), st.tuples(st.sampled_from(comps),
+                                                st.sampled_from(dead)),
+                  st.integers(1, 3 * alpha)),
+        st.tuples(st.just("unreserve"), st.sampled_from(comps), st.none()),
+        st.tuples(st.just("dead_paid"), st.sampled_from(dead),
+                  st.integers(0, k * alpha)),
+        st.tuples(st.just("dead_reserved"), st.sampled_from(dead),
+                  st.tuples(st.none() | st.integers(0, alg.clusters - 1),
+                            st.integers(-1, k + 1))),
+        st.tuples(st.just("swap"), st.sampled_from(nodes),
+                  st.sampled_from(nodes)))
+    for name, at, value in draw(st.lists(edit, max_size=8)):
+        if name == "swap":
+            placed = list(config.assignment)
+            placed[at], placed[value] = placed[value], placed[at]
+            config = new_configuration(placed, config.cluster_count,
+                                       config.cluster_capacity)
+        elif name == "unreserve":
+            alg.comp_reserved.pop(at, None)
+        elif name == "dead_paid":
+            alg.comm_paid[at] = value
+        elif name == "dead_reserved":
+            cluster, alg.comp_reserved[at] = value
+            if cluster is not None:
+                alg.comp_cluster[at] = cluster
+        elif name == "weights":
+            a, b = at
+            if a != b:
+                alg.weights[(min(a, b), max(a, b))] = value
+        else:
+            getattr(alg, name)[at] = value
+    return alg, draw(st.sampled_from((None, config)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_states())
+def test_one_pass_invariant_check_matches_the_reference(case):
+    # the same messages in the same order, or the same exception (a key of
+    # a dead component makes both versions raise KeyError on some edits)
+    def outcome(check):
+        try:
+            return check(alg, config)
+        except (KeyError, IndexError) as e:
+            return type(e)
+
+    alg, config = case
+    assert outcome(ComponentRepartitioner.check_invariants) == \
+        outcome(ReferenceComponents.check_invariants)
 
 
 def test_invariants_hold_across_random_runs():
