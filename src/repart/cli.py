@@ -421,7 +421,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         report = cmd_run(spec)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    except (ValueError, engine.AdversaryStuck) as exc:
+    except (ValueError, engine.AdversaryStuck, adversaries.ParseError,
+            adversaries.NodeOutOfRange) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

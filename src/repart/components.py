@@ -14,41 +14,56 @@ share a cluster (their requests cost nothing but still count as weight).
 
 A merge set X has |X| >= 2, vol(X) <= k and com(X) >= (|X|-1)*alpha; an
 epoch set Y has vol(Y) > k and com(Y) >= vol(Y)*alpha. The state is
-merge-exhausted when no merge set exists. Weights are positive integers and
-sizes at least 1, so the searches can be narrowed by three lemmas:
+merge-exhausted when no merge set exists. deg(c) is the total weight of
+component c, and c is hot when deg(c) > alpha*size(c). Weights are positive
+integers and sizes at least 1, so the searches can be narrowed by three
+lemmas:
 
 1. Merge core (precondition: merge-exhausted before the step's weight
    increment on the pair S of touched components). Every merge set X now
    contains S. Each c in X outside S has w(c, X-c) >= alpha, as otherwise
-   com(X-c) >= (|X-c|-1)*alpha + 1 and X-c qualified before the step.
-   X is connected: were it split into A (holding S, which is an edge) and
-   B with no weight between them, then com(B) <= (|B|-1)*alpha, since B
-   does not hold S, so com(A) >= |A|*alpha and A qualified before the
-   step. With at most k - vol(S) members outside S, every member lies
-   within k - vol(S) hops of S.
+   com(X-c) >= (|X-c|-1)*alpha + 1 and X-c qualified before the step; so
+   deg(c) >= alpha. X is connected: were it split into A (holding S, which
+   is an edge) and B with no weight between them, then com(B) <=
+   (|B|-1)*alpha, since B does not hold S, so com(A) >= |A|*alpha and A
+   qualified before the step. At most room = k - vol(S) members lie
+   outside S, so every member lies within room hops of S along members,
+   and c has at most room+1 mates in X (the two of S and at most room-1
+   others), so its room+1 heaviest weights sum to at least alpha.
+   Seed-only decision: if only S survives this narrowing, X = S, which
+   qualifies exactly when vol(S) <= k and w(S) >= alpha.
 2. Epoch core (precondition: merge-exhausted, which holds after the merge,
    since a set with the new component would have extended the maximum X).
    A nonempty set with com >= vol*alpha then has vol > k: a singleton has
    com 0, and a larger set of vol <= k would be a merge set. So each c
    outside the seed of a minimum-cardinality Y has w(c, Y-c) >
    alpha*size(c), or else Y-c, which holds the seed, would be a smaller
-   epoch set. If moreover no epoch set avoids the seed, Y is connected.
+   epoch set; so c is hot. If moreover no epoch set avoids the seed, Y is
+   connected. Seed-only decision: if only the seeds survive, Y is the
+   seeds; one component has com 0, and two seeds are left only when they
+   formed no merge set, so their w >= vol*alpha >= alpha implies vol > k,
+   and they qualify exactly when w >= vol*alpha.
 3. Residual core (no precondition). Take a merge set X of minimum
    cardinality. If |X| = 2, X is a pair with w >= alpha and vol <= k. If
    |X| >= 3, each X-c has at least two members and vol <= k but does not
    qualify, so com(X-c) <= (|X|-2)*alpha - 1 and w(c, X-c) = com(X) -
    com(X-c) >= alpha+1; and size(c) <= k-2, as the other members take at
-   least two slots. So a merge set exists iff a pair qualifies or the core
-   holds one: what remains after peeling components whose weight into the
-   rest is at most alpha or whose size exceeds k-2.
+   least two slots. Each mate of c takes one of the k - size(c) slots c
+   leaves, so the sum of c's k - size(c) heaviest weights is at least
+   w(c, X-c) >= alpha+1 (bounded fan-in). So a merge set exists iff a pair
+   qualifies or the core holds one: what remains after peeling components
+   of size above k-2, or whose k - size(c) heaviest weights into the rest
+   sum to at most alpha.
 
 In each case every answer lies in what survives peeling (peeling removes c
 only when its weight into a superset of the answer is already too low), so
 the public searches, run on the survivors, return exactly what they return
-on all components. `step` relies on lemmas 1 and 2 and so on the invariant
-that `residual_merge_set` checks after every step; that check relies on
-lemma 3 only, and falls back to a search over all components whenever a
-pair qualifies or the core holds a merge set.
+on all components. A peel has one fixpoint, so starting it from any
+superset of its survivors, such as the hot components and the seeds, leaves
+the same set. `step` relies on lemmas 1 and 2 and so on the invariant that
+`residual_merge_set` checks after every step; that check relies on lemma 3
+only, and falls back to a search over all components whenever a pair
+qualifies or the core holds a merge set.
 """
 
 import math
@@ -258,30 +273,42 @@ def find_epoch_set(sizes: Dict[int, int], weights: Dict[PairKey, int],
 
 
 def _peel(cands: Iterable[int], nbrs: Dict[int, Dict[int, int]],
-          seed: Sequence[int], need: Callable[[int], int]) -> Set[int]:
-    """Drop non-seed candidates while their weight into the rest is below
-    need(c) > 0. What remains contains every set of candidates holding the
-    seed in which each other member c has w(c, set - c) >= need(c)."""
-    alive = {c for c in cands if c in nbrs}
-    alive.update(seed)
-    if alive.issuperset(nbrs):
-        # every neighbour is alive, so whole rows count
-        into = {c: sum(nbrs[c].values()) for c in alive if c in nbrs}
-    else:
-        into = {c: sum([w for d, w in nbrs[c].items() if d in alive])
-                for c in alive if c in nbrs}
-    doomed = [c for c, w in into.items() if c not in seed and w < need(c)]
-    while doomed:
-        c = doomed.pop()
-        if c not in alive:
-            continue
-        alive.remove(c)
-        for d, w in nbrs[c].items():
-            if d in alive:
-                into[d] -= w
-                if d not in seed and into[d] < need(d):
-                    doomed.append(d)
-    return alive
+          seed: Sequence[int], need: Callable[[int], int],
+          fan: Optional[Callable[[int], int]] = None) -> Set[int]:
+    """Drop non-seed candidates while their weight into the rest, or given
+    `fan` their fan(c) heaviest weights into it, sum below need(c) > 0.
+    What remains holds every set of candidates with the seed in which each
+    other member c has w(c, set - c) >= need(c) and, given `fan`, at most
+    fan(c) mates. Both tests only get stricter as candidates go, so the
+    order of drops does not change what remains."""
+    needs = {c: need(c) for c in cands if c in nbrs and c not in seed}
+    alive = set(needs).union(seed)
+    into = {c: sum([w for d, w in nbrs[c].items() if d in alive])
+            for c in needs}
+
+    def thin(c: int) -> bool:
+        if len(nbrs[c]) <= fan(c):      # all its weights, and into[c] passed
+            return False
+        heavy = sorted([w for d, w in nbrs[c].items() if d in alive],
+                       reverse=True)
+        return sum(heavy[:fan(c)]) < needs[c]
+
+    doomed = [c for c, b in needs.items() if into[c] < b]
+    while True:
+        while doomed:
+            c = doomed.pop()
+            if c not in alive:
+                continue
+            alive.remove(c)
+            for d, w in nbrs[c].items():
+                if d in alive and d in needs:
+                    into[d] -= w
+                    if into[d] < needs[d]:
+                        doomed.append(d)
+        if fan is not None:
+            doomed = [c for c in alive if c in needs and thin(c)]
+        if not doomed:
+            return alive
 
 
 def _within(nbrs: Dict[int, Dict[int, int]], seed: Sequence[int], hops: int,
@@ -350,8 +377,11 @@ class ComponentRepartitioner:
         self.next_cid = self.n
 
         self.weights: Dict[PairKey, int] = {}
-        # weights per component, rebuilt after merges and epoch ends
+        # weights and total weight per component, and the hot components:
+        # kept on each increment, rebuilt after merges and epoch ends
         self.nbrs: Dict[int, Dict[int, int]] = {}
+        self.deg: Dict[int, int] = {}
+        self.hot: Set[int] = set()
         self.pair_remote: Dict[PairKey, int] = {}
         self.comm_paid: Dict[int, int] = {v: 0 for v in range(self.n)}
         self.move_count: Dict[int, int] = {v: 0 for v in range(self.n)}
@@ -382,6 +412,13 @@ class ComponentRepartitioner:
     def sizes(self) -> Dict[int, int]:
         return {cid: len(nodes) for cid, nodes in self.comp_nodes.items()}
 
+    def _index(self):
+        """Rebuild nbrs, deg and hot from the weights."""
+        self.nbrs = _adjacency(self.weights, self.comp_nodes)
+        self.deg = {c: sum(row.values()) for c, row in self.nbrs.items()}
+        self.hot = {c for c, d in self.deg.items()
+                    if d > self.alpha * len(self.comp_nodes[c])}
+
     def _subgraph(self, comps: Set[int]
                   ) -> Tuple[Dict[int, int], Dict[PairKey, int]]:
         """The sizes of `comps` and the weights among them."""
@@ -402,31 +439,40 @@ class ComponentRepartitioner:
             w = self.weights[key] = self.weights.get(key, 0) + 1
             self.nbrs.setdefault(cu, {})[cv] = w
             self.nbrs.setdefault(cv, {})[cu] = w
-            # lemma 1: every merge set holds the seed, lies in its alpha core
-            # and within `room` hops of it
-            seed = (cu, cv)
-            nodes = self.comp_nodes
+            nodes, alpha, deg = self.comp_nodes, self.alpha, self.deg
+            for c in key:
+                deg[c] = deg.get(c, 0) + 1
+                if deg[c] > alpha * len(nodes[c]):
+                    self.hot.add(c)
+            # lemma 1: every merge set holds the seed and lies in its core
+            # within `room` hops of it; if only the seed is left, it is the
+            # merge set when it qualifies
             room = self.k - len(nodes[cu]) - len(nodes[cv])
-            near = set(seed)
+            near = set(key)
             if room > 0:
-                ball = _within(self.nbrs, seed, room,
-                               lambda c: len(nodes[c]) <= room)
-                core = _peel(ball, self.nbrs, seed, lambda c: self.alpha)
-                near = _within(self.nbrs, seed, room, core.__contains__)
-            merge_set = find_merge_set(
-                *self._subgraph(near), self.k, self.alpha, seed=seed)
-            if len(merge_set) > 1:
-                moves += self._merge(merge_set)
-            # lemma 2: each member of the minimum epoch set outside the
-            # seeds has weight above alpha*size into the rest of it
+                near = _within(self.nbrs, key, room, lambda c: (
+                    len(nodes[c]) <= room and deg[c] >= alpha))
+                if len(near) > 2:
+                    near = _peel(near, self.nbrs, key, lambda c: alpha,
+                                 lambda c: room + 1)
+            if len(near) > 2 or (room >= 0 and w >= alpha):
+                merge_set = find_merge_set(
+                    *self._subgraph(near), self.k, alpha, seed=key)
+                if merge_set:
+                    moves += self._merge(merge_set)
+            # lemma 2: the minimum epoch set lies in the dense core of the
+            # seeds and the hot components; with only the seeds left, it is
+            # the two seeds if they qualify
             seeds = tuple({self.comp_of[u], self.comp_of[v]})
-            dense = _peel(set(self.nbrs), self.nbrs, seeds,
-                          lambda c: self.alpha * len(nodes[c]) + 1)
-            epoch_set = find_epoch_set(
-                *self._subgraph(dense), self.k, self.alpha, seed=seeds)
-            if epoch_set:
-                moves += self._end_epoch(epoch_set)
-                epoch_fired = True
+            dense = _peel(self.hot, self.nbrs, seeds,
+                          lambda c: alpha * len(nodes[c]) + 1)
+            if len(dense) > len(seeds) or (
+                    len(seeds) == 2 and w >= (self.k - room) * alpha):
+                epoch_set = find_epoch_set(
+                    *self._subgraph(dense), self.k, alpha, seed=seeds)
+                if epoch_set:
+                    moves += self._end_epoch(epoch_set)
+                    epoch_fired = True
         fu, fv = self.comp_of[u], self.comp_of[v]
         # the serve that closes an epoch is charged to the epoch it closed,
         # so the new epoch's counters stay at zero
@@ -488,7 +534,7 @@ class ComponentRepartitioner:
         self.comp_reserved[cid] = new_reserved
         for node in nodes:
             self.comp_of[node] = cid
-        self.nbrs = _adjacency(self.weights, self.comp_nodes)
+        self._index()
         return moves
 
     # -- epoch end ----------------------------------------------------------
@@ -524,7 +570,7 @@ class ComponentRepartitioner:
         self.pair_remote = {
             key: w for key, w in self.pair_remote.items()
             if key[0] not in inside and key[1] not in inside}
-        self.nbrs = _adjacency(self.weights, self.comp_nodes)
+        self._index()
 
         moves: List[Move] = []
         evicted = 0
@@ -594,8 +640,11 @@ class ComponentRepartitioner:
                 small.setdefault(a, {})[b] = w
                 small.setdefault(b, {})[a] = w
         if not pair:
-            core = _peel(small.keys(), small, (), lambda c: alpha + 1)
-            if not core or not find_merge_set(
+            # only components with more than alpha weight survive the peel
+            heavy = [c for c, row in small.items() if sum(row.values()) > alpha]
+            core = _peel(heavy, small, (), lambda c: alpha + 1,
+                         lambda c: k - sizes[c]) if len(heavy) > 2 else ()
+            if len(core) < 3 or not find_merge_set(
                     {c: sizes[c] for c in core}, self.weights, k, alpha):
                 return ()
         live = _adjacency(self.weights, sizes)
@@ -605,17 +654,17 @@ class ComponentRepartitioner:
     def check_invariants(self, config: Optional[Configuration] = None) -> List[str]:
         errs = list(self.violations)
         k, alpha, comp_of, moved = self.k, self.alpha, self.comp_of, self.move_count
+        where = self.comp_cluster
         sizes: Dict[int, int] = {}
         occ, res = [0] * self.clusters, [0] * self.clusters
         seen: Set[int] = set()
         move_errs: List[str] = []    # reported after the weights and payments
         for cid, nodes in self.comp_nodes.items():
             size = sizes[cid] = len(nodes)
-            cluster = self.comp_cluster[cid]
-            occ[cluster] += size
+            occ[where[cid]] += size
             seen.update(nodes)
             log = (size - 1).bit_length()       # ceil(log2(size)) for size >= 1
-            per_node_cap = max(1, log)
+            per_node_cap = log or 1
             total = 0
             for node in nodes:
                 if comp_of[node] != cid:
@@ -629,8 +678,18 @@ class ComponentRepartitioner:
                                  % (cid, total, size * log))
         if seen != set(range(self.n)):
             errs.append("components do not partition the node set")
+        top = max(k - 1, 0)
+        reserve_errs: List[str] = []    # reported after the capacity checks
         for cid, r in self.comp_reserved.items():
-            res[self.comp_cluster[cid]] += r
+            if cid in where:
+                res[where[cid]] += r
+            size = sizes.get(cid)
+            if not 0 <= r <= top or (size is not None and r > size):
+                reserve_errs.append("component %d reserved %d out of range"
+                                    % (cid, r))
+            elif size is None:
+                reserve_errs.append("reservation keyed to dead component %d"
+                                    % cid)
         if sum(occ) != self.n:
             errs.append("occupancy sums to %d, not %d" % (sum(occ), self.n))
         for s in range(self.clusters):
@@ -640,9 +699,7 @@ class ComponentRepartitioner:
         if max(self.capacity - occ[s] - res[s]
                for s in range(self.clusters)) < k:
             errs.append("no cluster keeps k spare slots")
-        for cid, r in self.comp_reserved.items():
-            if not 0 <= r <= max(k - 1, 0) or r > sizes[cid]:
-                errs.append("component %d reserved %d out of range" % (cid, r))
+        errs += reserve_errs
         for (a, b), w in self.weights.items():
             if a not in sizes or b not in sizes:
                 errs.append("weight %r keyed to a dead component" % ((a, b),))
@@ -654,12 +711,14 @@ class ComponentRepartitioner:
             if w >= bound:
                 errs.append("edge %r weight %d breaches %d" % ((a, b), w, bound))
         for cid, paid in self.comm_paid.items():
-            if paid > (sizes[cid] - 1) * alpha:
+            if cid not in sizes:
+                errs.append("payment keyed to dead component %d" % cid)
+            elif paid > (sizes[cid] - 1) * alpha:
                 errs.append("component %d paid %d remote serves, cap %d"
                             % (cid, paid, (sizes[cid] - 1) * alpha))
         errs += move_errs
         if config is not None:
-            placed, where = config.assignment, self.comp_cluster
+            placed = config.assignment
             errs.extend("node %d placement disagrees with engine" % node
                         for node in range(self.n)
                         if placed[node] != where[comp_of[node]])

@@ -241,3 +241,24 @@ def test_run_via_main_prints_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["alg"] == "null"
     assert report["on_total"] == 12        # every ring request stays split
+
+
+def _run_trace(tmp_path, text):
+    trace = tmp_path / "requests.csv"
+    trace.write_text(text)
+    return cli.main(["run", "--alg", "null", "--source", "trace", "--n", "4",
+                     "--k", "2", "--l", "2", "--trace", str(trace)])
+
+
+def test_trace_with_a_non_integer_field_is_an_error(tmp_path, capsys):
+    assert _run_trace(tmp_path, "0,1\n0,x\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: non-integer field\n"
+
+
+def test_trace_with_a_node_out_of_range_is_an_error(tmp_path, capsys):
+    assert _run_trace(tmp_path, "0,9\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: node 9 outside [0, 4)\n"

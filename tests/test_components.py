@@ -19,6 +19,7 @@ from oracles import (
     naive_merge_set,
     random_component_graph,
 )
+from repart import components
 from repart.adversaries import PlantedPartition, RandomPairs, TraceSource
 from repart.components import (
     ComponentRepartitioner,
@@ -372,7 +373,13 @@ def _same_state(alg, ref):
     for name in ("weights", "pair_remote", "comp_nodes", "comp_cluster",
                  "comp_reserved"):
         assert getattr(alg, name) == getattr(ref, name), name
-    assert alg.nbrs == _adjacency(alg.weights, alg.comp_nodes)
+    # the incrementally kept tables equal a rebuild from the weights
+    nbrs = _adjacency(alg.weights, alg.comp_nodes)
+    deg = {c: sum(row.values()) for c, row in nbrs.items()}
+    assert alg.nbrs == nbrs
+    assert alg.deg == deg
+    assert alg.hot == {c for c, d in deg.items()
+                       if d > alg.alpha * len(alg.comp_nodes[c])}
 
 
 @settings(max_examples=150, deadline=None)
@@ -475,8 +482,9 @@ def tampered_states(draw):
 @settings(max_examples=300, deadline=None)
 @given(tampered_states())
 def test_one_pass_invariant_check_matches_the_reference(case):
-    # the same messages in the same order, or the same exception (a key of
-    # a dead component makes both versions raise KeyError on some edits)
+    # the same messages in the same order, or the same exception; where a
+    # payment or a reservation keyed to a dead component makes the
+    # reference raise KeyError, the check reports it instead
     def outcome(check):
         try:
             return check(alg, config)
@@ -484,8 +492,63 @@ def test_one_pass_invariant_check_matches_the_reference(case):
             return type(e)
 
     alg, config = case
-    assert outcome(ComponentRepartitioner.check_invariants) == \
-        outcome(ReferenceComponents.check_invariants)
+    got = outcome(ComponentRepartitioner.check_invariants)
+    expected = outcome(ReferenceComponents.check_invariants)
+    if expected is KeyError:
+        assert isinstance(got, list)
+        assert any("dead component" in e or "out of range" in e for e in got)
+    else:
+        assert got == expected
+
+
+def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
+    # A guard without timings: on one seeded grid-shaped run under the
+    # per-step checks, dropping a seed-only decision or a fan-in bound
+    # raises one of these counts above what the shortcuts reach.
+    counts = {"find_merge_set": 0, "find_epoch_set": 0, "_subgraph": 0,
+              "core search": 0}
+    checking = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts["core search" if checking and name == "find_merge_set"
+                   else name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def residual(alg):
+        checking.append(True)
+        try:
+            return residual_check(alg)
+        finally:
+            checking.pop()
+
+    residual_check = ComponentRepartitioner.residual_merge_set
+    monkeypatch.setattr(components, "find_merge_set",
+                        counted("find_merge_set", find_merge_set))
+    monkeypatch.setattr(components, "find_epoch_set",
+                        counted("find_epoch_set", find_epoch_set))
+    monkeypatch.setattr(ComponentRepartitioner, "_subgraph", counted(
+        "_subgraph", ComponentRepartitioner._subgraph))
+    monkeypatch.setattr(ComponentRepartitioner, "residual_merge_set",
+                        residual)
+    p = Params(16, 4, 4, alpha=3, delta=4)
+    moved = 0
+    for src in (PlantedPartition(11, p, 0.9, 0.1, steps=1000),
+                RandomPairs(11, 16, 1000)):
+        alg = ComponentRepartitioner(p, contiguous_configuration(p))
+
+        def check(t, config, req, comm, mig, alg=alg):
+            assert alg.check_invariants(config) == []
+            assert alg.residual_merge_set() == ()
+
+        tr = run(alg, src, p, alg.start, 1000, observer=check)
+        moved += sum(1 for s in tr.steps if s.mig)
+    assert moved > 50                    # merges and epoch ends happened
+    assert counts["find_merge_set"] <= 595
+    assert counts["find_epoch_set"] <= 459
+    assert counts["_subgraph"] <= 1054
+    assert counts["core search"] <= 96
 
 
 def test_invariants_hold_across_random_runs():
@@ -524,6 +587,15 @@ def test_tampering_is_detected():
     alg.comm_paid[merged] = 0
     alg.comp_cluster[merged] = 3        # disagree with the engine placement
     assert any("disagrees" in e for e in alg.check_invariants(config))
+    # keys of a component that does not exist are reported, not raised
+    fresh = ComponentRepartitioner(p, contiguous_configuration(p))
+    fresh.comm_paid[7] = 1
+    assert fresh.check_invariants(fresh.start) == [
+        "payment keyed to dead component 7"]
+    del fresh.comm_paid[7]
+    fresh.comp_reserved[7] = 0
+    assert fresh.check_invariants(fresh.start) == [
+        "reservation keyed to dead component 7"]
 
 
 def test_dump_state_is_readable():
