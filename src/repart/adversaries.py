@@ -9,23 +9,24 @@ the harness the stream is over. Sources never mutate the configuration.
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Configuration, GeometryError, Params, Request, new_configuration
+from .core import (Configuration, GeometryError, Params, RepartError, Request,
+                   new_configuration)
 from .engine import AdversaryStuck, EndOfStream
 
 
-class ParseError(Exception):
+class ParseError(RepartError):
     """A trace line that does not parse; carries the 1-based line number."""
 
 
-class NodeOutOfRange(Exception):
+class NodeOutOfRange(RepartError):
     """A trace or paging item referencing a node outside [0, n)."""
 
 
-class MalformedPagingSequence(Exception):
+class MalformedPagingSequence(RepartError):
     pass
 
 
-class BadProbability(Exception):
+class BadProbability(RepartError):
     pass
 
 
@@ -55,21 +56,6 @@ class RingAdversary:
                 return Request(u, v)
         raise AdversaryStuck(
             "ring cut is empty: all %d ring edges are internal" % self.n)
-
-
-def order_preserving_partition(n: int, k: int, m: int) -> Tuple[Tuple[int, ...], ...]:
-    """The m-th (1-based) rotation of the ring into contiguous blocks of k.
-
-    Block starts sit at node ids congruent to m mod k, so o_m cuts exactly
-    the ring edges e_i with i = m mod k. The k rotations have pairwise
-    disjoint cut sets that together cover the whole ring.
-    """
-    if n % k != 0 or not 1 <= m <= k:
-        raise GeometryError("need k | n and 1 <= m <= k")
-    blocks = []
-    for start in range(m, n + m, k):
-        blocks.append(tuple(sorted((start + j) % n for j in range(k))))
-    return tuple(sorted(blocks))
 
 
 # ---------------------------------------------------------------------------

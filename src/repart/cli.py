@@ -10,13 +10,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import adversaries, engine, offline
 from .components import ComponentRepartitioner
-from .core import Configuration, Params, TooLarge, contiguous_configuration
+from .core import (Configuration, Params, RepartError, TooLarge,
+                   contiguous_configuration)
 from .greedy import DEFAULT_LAM, GreedyMatcher
 
 if TYPE_CHECKING:
@@ -106,14 +107,16 @@ def make_algorithm(spec: RunSpec, initial: Configuration):
     return engine.NaiveCollocator(params)
 
 
-def execute(spec: RunSpec, observer=None):
-    """Run the spec; returns (transcript, algorithm, source)."""
+def execute(spec: RunSpec, observe: Optional[Callable] = None):
+    """Run the spec; returns (transcript, algorithm, source). `observe`,
+    when given, is called with the algorithm before the first step and
+    returns the engine observer for the run."""
     initial = initial_for(spec)
     alg = make_algorithm(spec, initial)
     start = alg.start if spec.alg == "components" else initial
     src = make_source(spec)
     transcript = engine.run(alg, src, spec.params(), start, spec.steps,
-                            observer=observer)
+                            observer=observe(alg) if observe else None)
     return transcript, alg, src
 
 
@@ -205,35 +208,31 @@ def cmd_verify(spec: RunSpec, tamper: Optional[Callable] = None) -> Tuple[int, s
         raise ValueError("verify covers greedy and components runs")
     failure: List[str] = []
 
-    initial = initial_for(spec)
-    alg = make_algorithm(spec, initial)
-    start = alg.start if spec.alg == "components" else initial
-    src = make_source(spec)
-
-    def observer(t, config, req, comm, mig):
-        if tamper is not None:
-            tamper(t, alg)
-        if isinstance(alg, ComponentRepartitioner):
-            errs = alg.check_invariants(config)
-            if not errs and len(alg.residual_merge_set()) > 1:
-                errs = ["qualifying merge set survived the step"]
-            if errs:
-                failure.append("step %d\n%s\n%s"
-                               % (t, "\n".join(errs), alg.dump_state()))
-        else:
-            cap = alg.lam * spec.alpha
-            hot = [c for c, w in alg.out_counts.items() if w > cap]
-            if hot:
-                failure.append(
-                    "step %d\ncluster counters over %d: %s"
-                    % (t, cap, sorted(hot)))
-        if failure:
-            # stepping a corrupted algorithm any further can only crash
-            raise _VerifyAbort
+    def observe(alg):
+        def observer(t, config, req, comm, mig):
+            if tamper is not None:
+                tamper(t, alg)
+            if isinstance(alg, ComponentRepartitioner):
+                errs = alg.check_invariants(config)
+                if not errs and len(alg.residual_merge_set()) > 1:
+                    errs = ["qualifying merge set survived the step"]
+                if errs:
+                    failure.append("step %d\n%s\n%s"
+                                   % (t, "\n".join(errs), alg.dump_state()))
+            else:
+                cap = alg.lam * spec.alpha
+                hot = [c for c, w in alg.out_counts.items() if w > cap]
+                if hot:
+                    failure.append(
+                        "step %d\ncluster counters over %d: %s"
+                        % (t, cap, sorted(hot)))
+            if failure:
+                # stepping a corrupted algorithm any further can only crash
+                raise _VerifyAbort
+        return observer
 
     try:
-        transcript = engine.run(alg, src, spec.params(), start, spec.steps,
-                                observer=observer)
+        transcript, _, _ = execute(spec, observe)
     except _VerifyAbort:
         return 1, "FAIL %s\n%s" % (spec.alg, failure[0])
     return 0, "PASS %s: %d steps, all per-step checks hold" % (
@@ -310,32 +309,28 @@ def _read_config(path: str) -> dict:
     return values
 
 
-_INT_KEYS = ("n", "k", "l", "alpha", "delta", "seed", "steps")
-_FLOAT_KEYS = ("p_in", "p_out")
+# RunSpec's annotations are strings under `from __future__ import annotations`
+_PARSE = {"int": int, "float": float}
 
 
 def build_spec(args: argparse.Namespace) -> RunSpec:
-    merged = {}
-    if args.config:
-        merged.update(_read_config(args.config))
-    for key in ("alg", "source", "n", "k", "l", "alpha", "delta", "seed",
-                "steps", "oracle", "trace", "out", "p_in", "p_out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    if getattr(args, "lam", None) is not None:
-        merged["lam"] = args.lam
-    elif "lambda" in merged:
+    """A validated spec from the --config file, overridden by the flags."""
+    merged = _read_config(args.config) if args.config else {}
+    if "lambda" in merged:
         merged["lam"] = merged.pop("lambda")
-    for key in _INT_KEYS + ("lam",):
-        if key in merged:
-            merged[key] = int(merged[key])
-    for key in _FLOAT_KEYS:
-        if key in merged:
-            merged[key] = float(merged[key])
-    for key in ("alg", "source", "n", "k", "l"):
-        if key not in merged:
-            raise ValueError("missing required setting %r" % key)
+    settings = fields(RunSpec)
+    unknown = sorted(set(merged) - {f.name for f in settings})
+    if unknown:
+        raise ValueError("unknown setting %r" % unknown[0])
+    for f in settings:
+        val = getattr(args, f.name, None)
+        if val is not None:
+            merged[f.name] = val
+        if f.name in merged and f.type in _PARSE:
+            merged[f.name] = _PARSE[f.type](merged[f.name])
+    for f in settings:
+        if f.default is MISSING and f.name not in merged:
+            raise ValueError("missing required setting %r" % f.name)
     if "delta" not in merged:
         merged["delta"] = 4 if merged["alg"] == "components" else 1
     spec = RunSpec(**merged)
@@ -421,8 +416,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         report = cmd_run(spec)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    except (ValueError, engine.AdversaryStuck, adversaries.ParseError,
-            adversaries.NodeOutOfRange) as exc:
+    except (ValueError, OSError, RepartError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

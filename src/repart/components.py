@@ -70,17 +70,18 @@ import math
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
-from .core import Configuration, GeometryError, Params, Request, new_configuration
+from .core import (Configuration, GeometryError, Params, RepartError, Request,
+                   new_configuration)
 
 Move = Tuple[int, int]
 PairKey = Tuple[int, int]
 
 
-class InsufficientAugmentation(Exception):
+class InsufficientAugmentation(RepartError):
     """The algorithm needs at least 4x capacity augmentation."""
 
 
-class NoEligibleCluster(Exception):
+class NoEligibleCluster(RepartError):
     """No cluster can host a merged component.
 
     Unreachable when the invariants hold (some cluster always keeps k spare
@@ -690,6 +691,8 @@ class ComponentRepartitioner:
             elif size is None:
                 reserve_errs.append("reservation keyed to dead component %d"
                                     % cid)
+        reserve_errs.extend("component %d has no reservation" % cid
+                            for cid in sizes if cid not in self.comp_reserved)
         if sum(occ) != self.n:
             errs.append("occupancy sums to %d, not %d" % (sum(occ), self.n))
         for s in range(self.clusters):
@@ -727,10 +730,11 @@ class ComponentRepartitioner:
     def dump_state(self) -> str:
         lines = []
         for cid in sorted(self.comp_nodes):
-            lines.append("component %d: nodes=%s cluster=%d reserved=%d paid=%d"
+            lines.append("component %d: nodes=%s cluster=%d reserved=%s paid=%d"
                          % (cid,
                             ",".join(str(x) for x in self.comp_nodes[cid]),
-                            self.comp_cluster[cid], self.comp_reserved[cid],
+                            self.comp_cluster[cid],
+                            self.comp_reserved.get(cid, "none"),
                             self.comm_paid[cid]))
         for (a, b) in sorted(self.weights):
             lines.append("weight %d-%d: %d" % (a, b, self.weights[(a, b)]))

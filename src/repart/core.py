@@ -7,11 +7,8 @@ clusters costs alpha. Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-import functools
-import itertools
-import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 
 class RepartError(Exception):
@@ -23,10 +20,6 @@ class GeometryError(RepartError):
 
 
 class CapacityExceeded(RepartError):
-    pass
-
-
-class DuplicateNode(RepartError):
     pass
 
 
@@ -84,14 +77,14 @@ class Request:
 class Configuration:
     """Immutable node -> cluster assignment with fixed capacities.
 
-    Two caches are derived lazily and carried into the configurations that
-    `apply_moves` derives, so a step costs O(moves) rather than O(n): the
-    per-cluster member tuples behind `nodes_in`, which children share with
-    their parent for the clusters a move leaves alone, and the Zobrist `key`.
+    The per-cluster member tuples behind `nodes_in` are built lazily and
+    carried into the configurations that `apply_moves` derives, which share
+    them with their parent for the clusters a move leaves alone, so a step
+    costs O(moves) rather than O(n).
     """
 
     __slots__ = ("assignment", "cluster_count", "cluster_capacity", "_counts",
-                 "_members", "_key")
+                 "_members")
 
     def __init__(self, assignment: Sequence[int], cluster_count: int,
                  cluster_capacity: int):
@@ -108,18 +101,16 @@ class Configuration:
                                        % (c, cluster_capacity))
         self._counts = tuple(counts)
         self._members: Optional[List[Tuple[int, ...]]] = None
-        self._key: Optional[int] = None
 
     def _derived(self, assignment: Tuple[int, ...], counts: Tuple[int, ...],
-                 members: Optional[List[Tuple[int, ...]]],
-                 key: Optional[int]) -> "Configuration":
-        """A child with this shape whose validity and caches the caller
-        vouches for; skips the O(n) validation of __init__."""
+                 members: Optional[List[Tuple[int, ...]]]) -> "Configuration":
+        """A child with this shape whose validity and member index the
+        caller vouches for; skips the O(n) validation of __init__."""
         out = Configuration.__new__(Configuration)
         out.cluster_count = self.cluster_count
         out.cluster_capacity = self.cluster_capacity
         out.assignment, out._counts = assignment, counts
-        out._members, out._key = members, key
+        out._members = members
         return out
 
     @property
@@ -150,19 +141,6 @@ class Configuration:
             raise UnknownCluster("cluster %d outside [0, %d)" % (c, self.cluster_count))
         return self._counts[c]
 
-    @property
-    def key(self) -> int:
-        """64-bit Zobrist key: the XOR of `zobrist(v, c)` over every node.
-
-        It depends only on the placement, and a move updates it with two
-        XORs. Computed from scratch at most once per chain of derived
-        configurations.
-        """
-        if self._key is None:   # zobrist(v, c) inlined, to run at C speed
-            self._key = functools.reduce(
-                operator.xor, map(hash, zip(range(self.n), self.assignment)), 0)
-        return self._key & _KEY_MASK
-
     def canonical(self) -> str:
         # one C-level format pass, with no string object per node
         body = ("%d," * len(self.assignment) % self.assignment)[:-1]
@@ -181,19 +159,6 @@ class Configuration:
         return "Configuration(%s)" % self.canonical()
 
 
-_KEY_MASK = (1 << 64) - 1
-
-
-def zobrist(v: int, c: int) -> int:
-    """The key of node v sitting in cluster c.
-
-    CPython's tuple hash (xxHash-based, and not salted by PYTHONHASHSEED, as
-    int and tuple hashes never are) keeps the from-scratch key one pass at
-    C speed. Fixed for a given interpreter build.
-    """
-    return hash((v, c))
-
-
 AssignmentLike = Union[Mapping[int, int], Sequence[int]]
 
 
@@ -209,25 +174,6 @@ def new_configuration(assignment: AssignmentLike, cluster_count: int,
             flat[v] = c
         assignment = flat
     return Configuration(assignment, cluster_count, cluster_capacity)
-
-
-def configuration_from_clusters(clusters: Mapping[int, Iterable[int]],
-                                cluster_count: int,
-                                cluster_capacity: int) -> Configuration:
-    """Inverse form: cluster -> nodes. Duplicate node placements are rejected."""
-    seen: Dict[int, int] = {}
-    for c, nodes in clusters.items():
-        for v in nodes:
-            if v in seen:
-                raise DuplicateNode("node %d placed in clusters %d and %d"
-                                    % (v, seen[v], c))
-            seen[v] = c
-    if not seen:
-        raise GeometryError("empty cluster map")
-    n = max(seen) + 1
-    if len(seen) != n:
-        raise UnknownNode("cluster map must cover node ids 0..%d" % (n - 1))
-    return new_configuration(seen, cluster_count, cluster_capacity)
 
 
 def contiguous_configuration(params: Params) -> Configuration:
@@ -267,13 +213,10 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
         return config, 0
     assignment = list(old)
     counts = list(config._counts)
-    key = config._key
     for v, a, b in changed:
         assignment[v] = b
         counts[a] -= 1
         counts[b] += 1
-        if key is not None:
-            key ^= zobrist(v, a) ^ zobrist(v, b)
     entered = {b for _, _, b in changed}
     for c in sorted(entered):
         if counts[c] > config.cluster_capacity:
@@ -286,7 +229,7 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
             members[c] = tuple(sorted(
                 [v for v in members[c] if assignment[v] == c]
                 + [v for v, _, b in changed if b == c]))
-    out = config._derived(tuple(assignment), tuple(counts), members, key)
+    out = config._derived(tuple(assignment), tuple(counts), members)
     return out, alpha * len(changed)
 
 
@@ -297,28 +240,58 @@ def _overlap_matrix(a: Configuration, b: Configuration) -> List[List[int]]:
     return m
 
 
+def _max_overlap(m: List[List[int]]) -> int:
+    """The largest sum of m[i][p(i)] over permutations p of the columns.
+
+    The Hungarian method (Kuhn 1955, Munkres 1957) on the costs -m, in
+    O(ell^3) integer steps: rows join the matching one at a time, each
+    through a shortest augmenting path over the reduced costs
+    -m[i][j] - u[i] - v[j] >= 0, grown from a root column ell, while the
+    dual potentials u and v keep every matched pair at reduced cost 0.
+    """
+    ell = len(m)
+    u, v = [0] * ell, [0] * (ell + 1)
+    row_of = [-1] * (ell + 1)          # the row matched to each column
+    for i in range(ell):
+        row_of[ell] = i
+        slack = [-x - y for x, y in zip(m[i], v)]   # u[i] is still 0
+        via = [ell] * ell              # the tree column each slack comes from
+        tree, free = [ell], list(range(ell))
+        while True:
+            j = min(free, key=slack.__getitem__)
+            delta = slack[j]
+            for t in tree:
+                u[row_of[t]] += delta
+                v[t] -= delta
+            for f in free:
+                slack[f] -= delta
+            free.remove(j)
+            tree.append(j)
+            r = row_of[j]
+            if r < 0:
+                break
+            row, ur = m[r], u[r]
+            for f in free:
+                reduced = -row[f] - ur - v[f]
+                if reduced < slack[f]:
+                    slack[f], via[f] = reduced, j
+        while j != ell:                # shift the matching along the path
+            row_of[j] = row_of[via[j]]
+            j = via[j]
+    return sum(m[row_of[j]][j] for j in range(ell))
+
+
 def min_migration_cost(a: Configuration, b: Configuration, alpha: int) -> int:
     """Cheapest node-move cost turning a into b up to cluster relabeling.
 
     Equals alpha * (n - best overlap) where the best overlap maximizes the
     number of nodes whose cluster label can be matched under some bijection
-    of cluster ids. Exhaustive over label permutations for up to 8 clusters,
-    assignment solving beyond that.
+    of cluster ids, found by `_max_overlap`.
     """
     if (a.n != b.n or a.cluster_count != b.cluster_count
             or a.cluster_capacity != b.cluster_capacity):
         raise ShapeMismatch("configurations disagree on n, cluster count, or capacity")
-    m = _overlap_matrix(a, b)
-    ell = a.cluster_count
-    if ell <= 8:
-        best = max(sum(m[i][p[i]] for i in range(ell))
-                   for p in itertools.permutations(range(ell)))
-    else:
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment([[-x for x in row] for row in m])
-        best = sum(m[i][j] for i, j in zip(rows, cols))
-    return alpha * (a.n - best)
+    return alpha * (a.n - _max_overlap(_overlap_matrix(a, b)))
 
 
 class PairCounts:

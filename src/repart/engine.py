@@ -8,9 +8,7 @@ the pre slot; the greedy rematcher swaps only after the triggering request
 has been paid, so it uses the post slot.
 
 A step costs O(moves) in the harness: `apply_moves` derives the next
-configuration incrementally, and each step's digest is the configuration's
-Zobrist key (Zobrist 1970), the XOR of one 64-bit key per (node, cluster)
-placement, printed as 16 hex characters.
+configuration incrementally.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ from .core import (
     CostLedger,
     PairCounts,
     Params,
+    RepartError,
     Request,
     apply_moves,
     serve_cost,
@@ -33,8 +32,6 @@ from .core import (
 INFINITE = float("inf")
 UNDEFINED = None
 
-SNAPSHOT_EVERY = 64
-
 Move = Tuple[int, int]
 
 
@@ -42,7 +39,7 @@ class EndOfStream(Exception):
     """A source declaring its stream finished; the harness stops cleanly."""
 
 
-class AdversaryStuck(Exception):
+class AdversaryStuck(RepartError):
     """The source cannot produce a legal next request."""
 
 
@@ -61,13 +58,7 @@ class RequestSource(Protocol):
 
 @dataclass(slots=True)
 class StepRecord:
-    """One served request, its moves and costs.
-
-    `digest` names the configuration after the step: its Zobrist key
-    (`Configuration.key`, the XOR of `core.zobrist(v, c)` over all nodes)
-    as 16 hex characters. It depends only on the placement. It is for
-    in-process auditing and appears in no report or `.steps` transcript.
-    """
+    """One served request, its moves and costs."""
 
     t: int
     u: int
@@ -76,16 +67,12 @@ class StepRecord:
     post_moves: Tuple[Move, ...]
     comm: int
     mig: int
-    digest: str
-
-
-def _digest(config: Configuration) -> str:
-    return "%016x" % config.key
 
 
 @dataclass
 class Transcript:
-    """Everything needed to audit or replay a run."""
+    """Everything needed to audit or replay a run. `snapshots` holds one
+    (steps served, final configuration) entry."""
 
     params: Params
     initial: Configuration
@@ -132,7 +119,6 @@ def run(alg: OnlineAlgorithm, src: RequestSource, params: Params,
     """
     config = initial
     transcript = Transcript(params=params, initial=initial)
-    digested = digest = None    # steps that leave the placement share a digest
     for t in range(1, max_steps + 1):
         try:
             req = src.next(config)
@@ -147,13 +133,8 @@ def run(alg: OnlineAlgorithm, src: RequestSource, params: Params,
         config, mig_post = apply_moves(config, post_moves, params.alpha)
         mig = mig_pre + mig_post
         transcript.ledger.record(comm, mig)
-        if config is not digested:
-            digested, digest = config, _digest(config)
         transcript.steps.append(StepRecord(t, req.u, req.v, tuple(pre_moves),
-                                           tuple(post_moves), comm, mig,
-                                           digest))
-        if t % SNAPSHOT_EVERY == 0:
-            transcript.snapshots.append((t, config))
+                                           tuple(post_moves), comm, mig))
         if observer is not None:
             observer(t, config, req, comm, mig)
     transcript.snapshots.append((len(transcript.steps), config))

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (
     Configuration,
     Params,
+    RepartError,
     Request,
     TooLarge,
     min_migration_cost,
@@ -46,7 +47,7 @@ PARTITION_CAP = 2000
 Partition = Tuple[Tuple[int, ...], ...]
 
 
-class MalformedProfile(Exception):
+class MalformedProfile(RepartError):
     pass
 
 
@@ -128,10 +129,6 @@ class PartitionSpace:
         if p not in self.index:
             raise TooLarge("configuration is not a balanced ell x k placement")
         return self.index[p]
-
-    def serves(self, request: Request, state: int) -> int:
-        b = self._block_of[state]
-        return 1 if b[request.u] != b[request.v] else 0
 
     def sides(self, u: int, v: int) -> Tuple[List[int], List[int], List[int]]:
         """The serve cost of {u, v} in every state, the states that split

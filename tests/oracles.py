@@ -6,7 +6,9 @@ they are usable up to roughly ten components. The component reference
 runs the algorithm's searches over every component instead of the narrowed
 candidates, and checks its invariants with one loop per table. The placement and pair-counter references rebuild or scan
 everything on every call, and the offline references scan every pair of
-states on every request.
+states on every request; the migration-distance reference tries every
+relabeling of the clusters. The ring rotations at the end are a
+construction only the adversary tests use.
 """
 
 import itertools
@@ -20,13 +22,13 @@ from repart.components import (
 )
 from repart.core import (
     Configuration,
+    GeometryError,
     Params,
     Request,
     TooLarge,
     UnknownCluster,
     UnknownNode,
     min_migration_cost,
-    zobrist,
 )
 from repart.offline import Partition, PartitionSpace
 
@@ -231,14 +233,6 @@ def scan_nodes_in(config, c):
     return [v for v, cc in enumerate(config.assignment) if cc == c]
 
 
-def scratch_key(config):
-    """The Zobrist key recomputed from every node's placement."""
-    key = 0
-    for v, c in enumerate(config.assignment):
-        key ^= zobrist(v, c)
-    return key & ((1 << 64) - 1)
-
-
 class ScanGreedyMatcher:
     """GreedyMatcher choosing its partner by a pair sum over every cluster
     and resetting by a scan of every pair counter."""
@@ -330,6 +324,24 @@ class ScanNaiveCollocator:
 # are the pairwise, full-scan forms it is checked against.
 
 
+def permutation_min_migration_cost(a, b, alpha):
+    """min_migration_cost by trying every one of the ell! relabelings of
+    b's clusters onto a's."""
+    ell = a.cluster_count
+    overlap = [[0] * ell for _ in range(ell)]
+    for v in range(a.n):
+        overlap[a.assignment[v]][b.assignment[v]] += 1
+    best = max(sum(overlap[i][p[i]] for i in range(ell))
+               for p in itertools.permutations(range(ell)))
+    return alpha * (a.n - best)
+
+
+def serves(space, request, state):
+    """The serve cost of one request in one state of the space."""
+    b = space._block_of[state]
+    return 1 if b[request.u] != b[request.v] else 0
+
+
 def pairwise_transitions(space):
     """Every entry of the transition matrix from its own min_migration_cost."""
     configs = space._configs
@@ -369,7 +381,7 @@ def full_scan_optimal_cost(requests: Sequence[Request], params: Params,
                 if best is None or c < best:
                     best = c
                     arg = sp
-            ndist[s] = best + space.serves(req, s)
+            ndist[s] = best + serves(space, req, s)
             parent[s] = arg
         dist = ndist
         parents.append(parent)
@@ -395,7 +407,7 @@ def serve_scan_static_optimal(requests: Sequence[Request], params: Params,
     best = None
     best_state = 0
     for s in range(len(space)):
-        c = trans[start][s] + sum(space.serves(r, s) for r in requests)
+        c = trans[start][s] + sum(serves(space, r, s) for r in requests)
         if best is None or c < best:
             best = c
             best_state = s
@@ -419,8 +431,26 @@ def exhaustive_optimal(requests: Sequence[Request], params: Params,
         cost = 0
         prev = start
         for req, s in zip(requests, seq):
-            cost += trans[prev][s] + space.serves(req, s)
+            cost += trans[prev][s] + serves(space, req, s)
             prev = s
         if best is None or cost < best:
             best = cost
     return 0 if best is None else best
+
+
+# -- adversary constructions --------------------------------------------------
+
+
+def order_preserving_partition(n: int, k: int, m: int) -> Tuple[Tuple[int, ...], ...]:
+    """The m-th (1-based) rotation of the ring into contiguous blocks of k.
+
+    Block starts sit at node ids congruent to m mod k, so o_m cuts exactly
+    the ring edges e_i with i = m mod k. The k rotations have pairwise
+    disjoint cut sets that together cover the whole ring.
+    """
+    if n % k != 0 or not 1 <= m <= k:
+        raise GeometryError("need k | n and 1 <= m <= k")
+    blocks = []
+    for start in range(m, n + m, k):
+        blocks.append(tuple(sorted((start + j) % n for j in range(k))))
+    return tuple(sorted(blocks))

@@ -3,6 +3,17 @@
 Every bound asserted here is exact (integer or Fraction); nothing is
 approximated with floats. The component grid (criteria 5 and 7) runs once
 in a shared fixture.
+
+The claims of the paper's abstract that the criteria test:
+- every deterministic online algorithm is Omega(k)-competitive, even with
+  augmentation: criterion 4;
+- an O(k log k)-competitive algorithm with constant augmentation:
+  criteria 5 and 7;
+- a constant-competitive algorithm for k=2 without augmentation:
+  criteria 1 and 2;
+- ell=2 generalizes online paging: criterion 8.
+Criteria 3 (threshold baselines) and 6 (oracle agreement) check the
+testbench itself.
 """
 
 import random

@@ -262,3 +262,38 @@ def test_trace_with_a_node_out_of_range_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 1: node 9 outside [0, 4)\n"
+
+
+_INPUT_FILES = {
+    "bad_p.cfg": "alg=null\nsource=planted\nn=4\nk=2\nl=2\np_in=2\n",
+    "typo.cfg": "alg=null\nsource=random\nn=4\nk=2\nl=2\nseeds=3\n",
+    "pages.txt": "0 1 5\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--alg", "null", "--source", "random", "--n", "5", "--k", "2",
+     "--l", "2"],                                      # n != k * l
+    ["run", "--alg", "null", "--source", "random", "--n", "4", "--k", "2",
+     "--l", "2", "--alpha", "0"],
+    ["run", "--alg", "greedy", "--source", "random", "--n", "4", "--k", "2",
+     "--l", "2", "--lambda", "0"],
+    ["run", "--alg", "naive", "--source", "pair_chase", "--n", "6", "--k",
+     "3", "--l", "2"],                                 # the chase needs k=2
+    ["run", "--config", "bad_p.cfg"],                  # a probability of 2
+    ["run", "--config", "typo.cfg"],                   # no such setting
+    ["run", "--alg", "null", "--source", "paging", "--n", "6", "--k", "3",
+     "--l", "2", "--trace", "pages.txt"],              # item 5 of 3
+    ["run", "--alg", "null", "--source", "trace", "--n", "4", "--k", "2",
+     "--l", "2", "--trace", "absent.csv"],
+    ["run", "--config", "absent.cfg"],
+])
+def test_bad_input_is_an_error(argv, tmp_path, monkeypatch, capsys):
+    for name, text in _INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

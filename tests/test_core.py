@@ -2,14 +2,15 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
+from oracles import permutation_min_migration_cost
 from repart.core import (
     CapacityExceeded,
     Configuration,
     CostLedger,
-    DuplicateNode,
     GeometryError,
     Params,
     Request,
@@ -17,7 +18,6 @@ from repart.core import (
     UnknownCluster,
     UnknownNode,
     apply_moves,
-    configuration_from_clusters,
     contiguous_configuration,
     min_migration_cost,
     new_configuration,
@@ -76,17 +76,6 @@ def test_configuration_validation():
         Configuration([0, 5], 2, 2)
     with pytest.raises(UnknownNode):
         new_configuration({0: 0, 7: 1}, 2, 1)
-
-
-def test_configuration_from_clusters():
-    config = configuration_from_clusters({0: [0, 3], 1: [1, 2]}, 2, 2)
-    assert tuple(config.assignment) == (0, 1, 1, 0)
-    with pytest.raises(DuplicateNode):
-        configuration_from_clusters({0: [0, 1], 1: [1]}, 2, 2)
-    with pytest.raises(GeometryError):
-        configuration_from_clusters({}, 2, 2)
-    with pytest.raises(UnknownNode):
-        configuration_from_clusters({0: [0, 2]}, 2, 2)
 
 
 def test_serve_cost():
@@ -200,7 +189,7 @@ def test_min_migration_pseudometric():
 
 
 def test_min_migration_assignment_path():
-    # nine clusters switches the solver from permutations to assignment
+    # nine clusters, where the reference's 9! relabelings are the slow side
     n, ell, k = 18, 9, 2
     a = new_configuration([v // 2 for v in range(n)], ell, k)
     perm = [3, 5, 7, 0, 8, 2, 1, 6, 4]
@@ -223,6 +212,38 @@ def test_min_migration_assignment_path():
     best = max(sum(overlap[i][p[i]] for i in range(ell))
                for p in itertools.permutations(range(ell)))
     assert got == n - best
+
+
+def _placement(rng, ell, k, n):
+    """n of the ell*k slots filled, in a random order."""
+    slots = [c for c in range(ell) for _ in range(k)]
+    rng.shuffle(slots)
+    return new_configuration(slots[:n], ell, k)
+
+
+def test_min_migration_matches_the_permutation_scan():
+    # full placements, and partly filled ones like the component
+    # algorithm's doubled clusters, at every cluster count up to 7
+    rng = random.Random(7)
+    for _ in range(600):
+        ell, k = rng.randint(1, 7), rng.randint(1, 4)
+        n = rng.choice((ell * k, rng.randint(1, ell * k)))
+        a, b = _placement(rng, ell, k, n), _placement(rng, ell, k, n)
+        alpha = rng.randint(1, 3)
+        assert min_migration_cost(a, b, alpha) == \
+            permutation_min_migration_cost(a, b, alpha)
+
+
+def test_min_migration_is_fast_with_one_node_per_cluster():
+    # k=1 spaces have a single state, and pricing it solves a 30 x 30
+    # assignment, which a scan of the 30! relabelings could not finish
+    p = Params(30, 1, 30)
+    shuffled = list(range(30))
+    random.Random(3).shuffle(shuffled)
+    started = time.perf_counter()
+    assert min_migration_cost(contiguous_configuration(p),
+                              new_configuration(shuffled, 30, 1), 5) == 0
+    assert time.perf_counter() - started < 1.0
 
 
 def test_cost_ledger():

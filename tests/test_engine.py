@@ -51,7 +51,6 @@ def test_run_stamps_and_records():
     assert [s.t for s in tr.steps] == [1, 2, 3]
     assert [(s.comm, s.mig) for s in tr.steps] == [(1, 0), (0, 0), (0, 0)]
     assert tr.ledger.comm_total == 1 and tr.ledger.mig_total == 0
-    assert all(len(s.digest) == 16 for s in tr.steps)
     assert tr.requests() == [Request(0, 2, 1), Request(0, 1, 2), Request(2, 3, 3)]
 
 
@@ -90,8 +89,7 @@ def test_snapshot_cadence():
     p = Params(8, 2, 4)
     src = RandomPairs(3, 8, 130)
     tr = run(NullAlgorithm(), src, p, contiguous_configuration(p), 130)
-    assert [t for t, _ in tr.snapshots] == [64, 128, 130]
-    assert tr.snapshots[-1][1] == contiguous_configuration(p)
+    assert tr.snapshots == [(130, contiguous_configuration(p))]
 
 
 def test_replay_matches_live_ledger():
