@@ -402,8 +402,10 @@ class ComponentRepartitioner:
 
     def reserved_space(self) -> List[int]:
         res = [0] * self.clusters
+        where = self.comp_cluster
         for cid, r in self.comp_reserved.items():
-            res[self.comp_cluster[cid]] += r
+            if cid in where:    # a dead key is reported by check_invariants
+                res[where[cid]] += r
         return res
 
     def spare(self) -> List[int]:
@@ -693,6 +695,8 @@ class ComponentRepartitioner:
                                     % cid)
         reserve_errs.extend("component %d has no reservation" % cid
                             for cid in sizes if cid not in self.comp_reserved)
+        reserve_errs.extend("component %d has no payment record" % cid
+                            for cid in sizes if cid not in self.comm_paid)
         if sum(occ) != self.n:
             errs.append("occupancy sums to %d, not %d" % (sum(occ), self.n))
         for s in range(self.clusters):
@@ -730,12 +734,12 @@ class ComponentRepartitioner:
     def dump_state(self) -> str:
         lines = []
         for cid in sorted(self.comp_nodes):
-            lines.append("component %d: nodes=%s cluster=%d reserved=%s paid=%d"
+            lines.append("component %d: nodes=%s cluster=%d reserved=%s paid=%s"
                          % (cid,
                             ",".join(str(x) for x in self.comp_nodes[cid]),
                             self.comp_cluster[cid],
                             self.comp_reserved.get(cid, "none"),
-                            self.comm_paid[cid]))
+                            self.comm_paid.get(cid, "none")))
         for (a, b) in sorted(self.weights):
             lines.append("weight %d-%d: %d" % (a, b, self.weights[(a, b)]))
         occ, res = self.occupancy(), self.reserved_space()

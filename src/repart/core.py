@@ -77,80 +77,132 @@ class Request:
 class Configuration:
     """Immutable node -> cluster assignment with fixed capacities.
 
-    The per-cluster member tuples behind `nodes_in` are built lazily and
-    carried into the configurations that `apply_moves` derives, which share
-    them with their parent for the clusters a move leaves alone, so a step
-    costs O(moves) rather than O(n).
+    A configuration and every configuration `apply_moves` derives from it
+    are versions of one persistent array (Baker 1978; Conchon & Filliatre
+    2007). They share a single mutable store: the assignment list, the
+    per-cluster counts and the lazily built per-cluster member tuples
+    behind `nodes_in`. The version that holds the store reads in O(1);
+    every other version holds only the undo moves that lead from a
+    neighbour version (`_next`) to itself. Reading an old version first
+    walks the store back to it, applying and reversing the undo moves on
+    the way (`_reroot`), so deriving a child costs O(moves + k) and copies
+    nothing of size n or ell, and a run that reads only its newest version
+    never walks at all. The moves of a whole chain stay reachable from its
+    oldest version.
+
+    Every version stays observably immutable, but reading any version
+    mutates the shared store: versions of one chain must not be read from
+    more than one thread at a time.
     """
 
-    __slots__ = ("assignment", "cluster_count", "cluster_capacity", "_counts",
-                 "_members")
+    __slots__ = ("n", "cluster_count", "cluster_capacity", "_assign",
+                 "_counts", "_members", "_undo", "_next")
 
     def __init__(self, assignment: Sequence[int], cluster_count: int,
                  cluster_capacity: int):
-        self.assignment: Tuple[int, ...] = tuple(assignment)
+        self._assign: List[int] = list(assignment)
+        self.n = len(self._assign)
         self.cluster_count = cluster_count
         self.cluster_capacity = cluster_capacity
         counts = [0] * cluster_count
-        for v, c in enumerate(self.assignment):
+        for v, c in enumerate(self._assign):
             if not 0 <= c < cluster_count:
                 raise UnknownCluster("node %d assigned to cluster %d" % (v, c))
             counts[c] += 1
             if counts[c] > cluster_capacity:
                 raise CapacityExceeded("cluster %d over capacity %d"
                                        % (c, cluster_capacity))
-        self._counts = tuple(counts)
-        self._members: Optional[List[Tuple[int, ...]]] = None
+        self._counts = counts
+        self._members: List[Tuple[int, ...]] = []   # empty until first built
+        self._undo: Tuple[Tuple[int, int], ...] = ()
+        self._next: Optional[Configuration] = None  # None: holds the store
 
-    def _derived(self, assignment: Tuple[int, ...], counts: Tuple[int, ...],
-                 members: Optional[List[Tuple[int, ...]]]) -> "Configuration":
-        """A child with this shape whose validity and member index the
-        caller vouches for; skips the O(n) validation of __init__."""
+    def _child(self) -> "Configuration":
+        """A new version on this one's store, holding it; the caller moves
+        the store to the child's placement and leaves undo moves here."""
         out = Configuration.__new__(Configuration)
-        out.cluster_count = self.cluster_count
+        out.n, out.cluster_count = self.n, self.cluster_count
         out.cluster_capacity = self.cluster_capacity
-        out.assignment, out._counts = assignment, counts
-        out._members = members
+        out._assign, out._counts = self._assign, self._counts
+        out._members, out._undo, out._next = self._members, (), None
         return out
 
+    def _shift(self, moves: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+        """Move each (node, cluster) in the store, every node distinct and
+        every move a real change; return the moves that undo them."""
+        assign, counts, members = self._assign, self._counts, self._members
+        undo = tuple((v, assign[v]) for v, _ in moves)
+        for (v, c), (_, a) in zip(moves, undo):
+            assign[v] = c
+            counts[a] -= 1
+            counts[c] += 1
+        if members:
+            for c in {c for _, c in moves}.union(a for _, a in undo):
+                members[c] = tuple(sorted(
+                    [w for w in members[c] if assign[w] == c]
+                    + [v for v, b in moves if b == c]))
+        return undo
+
+    def _reroot(self):
+        """Walk the store back to this version, iteratively: a replay
+        reroots through a whole run."""
+        path = []
+        ver = self
+        while ver._next is not None:
+            path.append(ver)
+            ver = ver._next
+        for ver in reversed(path):
+            holder = ver._next
+            holder._undo, holder._next = self._shift(ver._undo), ver
+            ver._undo, ver._next = (), None
+
     @property
-    def n(self) -> int:
-        return len(self.assignment)
+    def assignment(self) -> Tuple[int, ...]:
+        """A snapshot of the whole placement; O(n), so not for step paths."""
+        if self._next is not None:
+            self._reroot()
+        return tuple(self._assign)
 
     def cluster_of(self, v: int) -> int:
-        if not 0 <= v < len(self.assignment):
-            raise UnknownNode("node %d outside [0, %d)" % (v, len(self.assignment)))
-        return self.assignment[v]
+        if self._next is not None:
+            self._reroot()
+        if not 0 <= v < self.n:
+            raise UnknownNode("node %d outside [0, %d)" % (v, self.n))
+        return self._assign[v]
 
     def _build_members(self) -> List[Tuple[int, ...]]:
         members: List[List[int]] = [[] for _ in range(self.cluster_count)]
-        for v, c in enumerate(self.assignment):
+        for v, c in enumerate(self._assign):
             members[c].append(v)
         return [tuple(m) for m in members]
 
     def nodes_in(self, c: int) -> List[int]:
         """Members of cluster c in increasing id order."""
+        if self._next is not None:
+            self._reroot()
         if not 0 <= c < self.cluster_count:
             raise UnknownCluster("cluster %d outside [0, %d)" % (c, self.cluster_count))
-        if self._members is None:
-            self._members = self._build_members()
+        if not self._members:
+            self._members.extend(self._build_members())
         return list(self._members[c])
 
     def occupancy(self, c: int) -> int:
+        if self._next is not None:
+            self._reroot()
         if not 0 <= c < self.cluster_count:
             raise UnknownCluster("cluster %d outside [0, %d)" % (c, self.cluster_count))
         return self._counts[c]
 
     def canonical(self) -> str:
         # one C-level format pass, with no string object per node
-        body = ("%d," * len(self.assignment) % self.assignment)[:-1]
+        body = ("%d," * self.n % self.assignment)[:-1]
         return "%d/%d:%s" % (self.cluster_count, self.cluster_capacity, body)
 
     def __eq__(self, other):
         return (isinstance(other, Configuration)
-                and self.assignment == other.assignment
                 and self.cluster_count == other.cluster_count
-                and self.cluster_capacity == other.cluster_capacity)
+                and self.cluster_capacity == other.cluster_capacity
+                and self.assignment == other.assignment)
 
     def __hash__(self):
         return hash((self.assignment, self.cluster_count, self.cluster_capacity))
@@ -196,10 +248,12 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
     last move wins. Capacity is validated on the final placement only, so
     batches may pass through transient overfull states. Only the moved
     nodes and the clusters they enter are checked, since `config` is valid.
+    The child takes over `config`'s store in O(moves + k); a rejected batch
+    leaves the store as it found it.
     """
     if not moves:
         return config, 0
-    n, ell = len(config.assignment), config.cluster_count
+    n, ell = config.n, config.cluster_count
     final: Dict[int, int] = {}
     for v, c in moves:
         if not 0 <= v < n:
@@ -207,36 +261,31 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
         if not 0 <= c < ell:
             raise UnknownCluster("move to unknown cluster %d" % c)
         final[v] = c
-    old = config.assignment
-    changed = [(v, old[v], c) for v, c in final.items() if old[v] != c]
+    if config._next is not None:
+        config._reroot()
+    old = config._assign
+    changed = [(v, c) for v, c in final.items() if old[v] != c]
     if not changed:
         return config, 0
-    assignment = list(old)
-    counts = list(config._counts)
-    for v, a, b in changed:
-        assignment[v] = b
-        counts[a] -= 1
-        counts[b] += 1
-    entered = {b for _, _, b in changed}
-    for c in sorted(entered):
-        if counts[c] > config.cluster_capacity:
+    gain: Dict[int, int] = {}
+    for v, c in changed:
+        gain[c] = gain.get(c, 0) + 1
+        gain[old[v]] = gain.get(old[v], 0) - 1
+    counts = config._counts
+    for c in sorted(gain):
+        if counts[c] + gain[c] > config.cluster_capacity:
             raise CapacityExceeded("cluster %d over capacity %d"
                                    % (c, config.cluster_capacity))
-    members = config._members
-    if members is not None:
-        members = list(members)   # untouched clusters stay shared with config
-        for c in entered.union(a for _, a, _ in changed):
-            members[c] = tuple(sorted(
-                [v for v in members[c] if assignment[v] == c]
-                + [v for v, _, b in changed if b == c]))
-    out = config._derived(tuple(assignment), tuple(counts), members)
+    out = config._child()
+    config._undo, config._next = config._shift(changed), out
     return out, alpha * len(changed)
 
 
 def _overlap_matrix(a: Configuration, b: Configuration) -> List[List[int]]:
     m = [[0] * b.cluster_count for _ in range(a.cluster_count)]
-    for v in range(a.n):
-        m[a.assignment[v]][b.assignment[v]] += 1
+    # one snapshot each: a and b may be versions of one store
+    for x, y in zip(a.assignment, b.assignment):
+        m[x][y] += 1
     return m
 
 

@@ -7,8 +7,13 @@ is charged, post-serve moves after. Component-based repartitioning uses
 the pre slot; the greedy rematcher swaps only after the triggering request
 has been paid, so it uses the post slot.
 
-A step costs O(moves) in the harness: `apply_moves` derives the next
-configuration incrementally.
+A step costs O(moves + k) in the harness at any n: `apply_moves` hands
+the configuration's shared store to the child and leaves the parent only
+the moves that undo the step (see `core.Configuration`). So the
+transcript's `initial` keeps the moves of the whole run reachable, and
+`Transcript.replay` first walks the store back to `initial`. Reading any
+configuration of a run mutates that store: a run and its configurations
+belong to one thread.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ class GreedyMatcher:
         sums: Dict[int, int] = {}
         for x in members:
             for y, count in self.pairs.nbrs.get(x, {}).items():
-                c = config.assignment[y]
+                c = config.cluster_of(y)
                 if c != c1:
                     sums[c] = sums.get(c, 0) + count
         return max(sums, key=lambda c: (sums[c], -c))

@@ -86,13 +86,17 @@ def partition_of_configuration(config: Configuration) -> Partition:
     return tuple(sorted(blocks, key=lambda b: b[0]))
 
 
-def _configuration_of_partition(p: Partition, k: int, ell: int) -> Configuration:
-    assignment = {}
+def _block_index(p: Partition, n: int) -> List[int]:
+    """node -> the index of its block in p."""
+    out = [0] * n
     for c, block in enumerate(p):
         for v in block:
-            assignment[v] = c
-    n = k * ell
-    return Configuration([assignment[v] for v in range(n)], ell, k)
+            out[v] = c
+    return out
+
+
+def _configuration_of_partition(p: Partition, k: int, ell: int) -> Configuration:
+    return Configuration(_block_index(p, k * ell), ell, k)
 
 
 class PartitionSpace:
@@ -102,10 +106,8 @@ class PartitionSpace:
         self.params = params
         self.partitions = enumerate_partitions(params.n, params.k, params.ell)
         self.index: Dict[Partition, int] = {p: i for i, p in enumerate(self.partitions)}
-        self._configs = [_configuration_of_partition(p, params.k, params.ell)
-                         for p in self.partitions]
         # node -> block index, for O(1) serve checks
-        self._block_of = [c.assignment for c in self._configs]
+        self._block_of = [_block_index(p, params.n) for p in self.partitions]
         # each distinct block once as a bitmask; _columns[r][s] is the id of
         # state s's block r
         block_ids: Dict[Tuple[int, ...], int] = {}
@@ -159,11 +161,15 @@ class PartitionSpace:
         memo = self._cost_by_overlap
         out = list(map(memo.get, keys))
         if None in out:
+            k, ell = self.params.k, self.params.ell
+            here = _configuration_of_partition(self.partitions[i], k, ell)
             for j, key in enumerate(keys):
                 if out[j] is None:
                     if key not in memo:
-                        memo[key] = min_migration_cost(
-                            self._configs[i], self._configs[j], self.params.alpha)
+                        there = _configuration_of_partition(
+                            self.partitions[j], k, ell)
+                        memo[key] = min_migration_cost(here, there,
+                                                       self.params.alpha)
                     out[j] = memo[key]
         return out
 

@@ -30,7 +30,7 @@ from repart.core import (
     UnknownNode,
     min_migration_cost,
 )
-from repart.offline import Partition, PartitionSpace
+from repart.offline import Partition, PartitionSpace, _configuration_of_partition
 
 
 def internal_weight(subset, weights):
@@ -215,15 +215,15 @@ def rebuild_apply_moves(config, moves, alpha):
     """apply_moves by rebuilding and revalidating the whole assignment."""
     if not moves:
         return config, 0
-    new_assignment = list(config.assignment)
+    old = config.assignment
+    new_assignment = list(old)
     for v, c in moves:
         if not 0 <= v < config.n:
             raise UnknownNode("move for unknown node %d" % v)
         if not 0 <= c < config.cluster_count:
             raise UnknownCluster("move to unknown cluster %d" % c)
         new_assignment[v] = c
-    changed = sum(1 for v in range(config.n)
-                  if new_assignment[v] != config.assignment[v])
+    changed = sum(1 for a, b in zip(new_assignment, old) if a != b)
     out = Configuration(new_assignment, config.cluster_count,
                         config.cluster_capacity)
     return out, alpha * changed
@@ -329,8 +329,8 @@ def permutation_min_migration_cost(a, b, alpha):
     b's clusters onto a's."""
     ell = a.cluster_count
     overlap = [[0] * ell for _ in range(ell)]
-    for v in range(a.n):
-        overlap[a.assignment[v]][b.assignment[v]] += 1
+    for x, y in zip(a.assignment, b.assignment):
+        overlap[x][y] += 1
     best = max(sum(overlap[i][p[i]] for i in range(ell))
                for p in itertools.permutations(range(ell)))
     return alpha * (a.n - best)
@@ -344,7 +344,8 @@ def serves(space, request, state):
 
 def pairwise_transitions(space):
     """Every entry of the transition matrix from its own min_migration_cost."""
-    configs = space._configs
+    k, ell = space.params.k, space.params.ell
+    configs = [_configuration_of_partition(p, k, ell) for p in space.partitions]
     return [[min_migration_cost(a, b, space.params.alpha) for b in configs]
             for a in configs]
 

@@ -416,7 +416,7 @@ def tampered_states(draw):
     """A state reached by a drawn stream, then edited: component ids,
     payments, move counts, reservations and clusters of live components,
     weights that are not positive or keyed to a dead component, a live
-    component's reservation dropped, a payment or a reservation (with or
+    component's reservation or payment dropped, a payment or a reservation (with or
     without a cluster) keyed to a dead component, and an engine placement
     with two nodes swapped."""
     params, src, steps = draw(component_streams())
@@ -449,6 +449,7 @@ def tampered_states(draw):
                                                 st.sampled_from(dead)),
                   st.integers(1, 3 * alpha)),
         st.tuples(st.just("unreserve"), st.sampled_from(comps), st.none()),
+        st.tuples(st.just("unpay"), st.sampled_from(comps), st.none()),
         st.tuples(st.just("dead_paid"), st.sampled_from(dead),
                   st.integers(0, k * alpha)),
         st.tuples(st.just("dead_reserved"), st.sampled_from(dead),
@@ -464,6 +465,8 @@ def tampered_states(draw):
                                        config.cluster_capacity)
         elif name == "unreserve":
             alg.comp_reserved.pop(at, None)
+        elif name == "unpay":
+            alg.comm_paid.pop(at, None)
         elif name == "dead_paid":
             alg.comm_paid[at] = value
         elif name == "dead_reserved":
@@ -485,8 +488,8 @@ def test_one_pass_invariant_check_matches_the_reference(case):
     # the same messages in the same order, or the same exception; where a
     # payment or a reservation keyed to a dead component makes the
     # reference raise KeyError, the check reports it instead, and it also
-    # reports each live component whose reservation was dropped, which the
-    # reference passes over
+    # reports each live component whose reservation or payment was dropped,
+    # which the reference passes over
     def outcome(check):
         try:
             return check(alg, config)
@@ -496,8 +499,10 @@ def test_one_pass_invariant_check_matches_the_reference(case):
     alg, config = case
     got = outcome(ComponentRepartitioner.check_invariants)
     expected = outcome(ReferenceComponents.check_invariants)
-    missing = ["component %d has no reservation" % c for c in alg.comp_nodes
-               if c not in alg.comp_reserved]
+    missing = (["component %d has no reservation" % c for c in alg.comp_nodes
+                if c not in alg.comp_reserved]
+               + ["component %d has no payment record" % c for c in alg.comp_nodes
+                  if c not in alg.comm_paid])
     if expected is KeyError:
         assert isinstance(got, list)
         assert any("dead component" in e or "out of range" in e for e in got)
@@ -602,11 +607,18 @@ def test_tampering_is_detected():
     fresh.comp_reserved[7] = 0
     assert fresh.check_invariants(fresh.start) == [
         "reservation keyed to dead component 7"]
+    assert "cluster 0: o=2 r=2 f=0" in fresh.dump_state()
     # so is a live component without a reservation, and the dump says so
     del fresh.comp_reserved[7], fresh.comp_reserved[0]
     assert fresh.check_invariants(fresh.start) == [
         "component 0 has no reservation"]
     assert "component 0: nodes=0 cluster=0 reserved=none" in fresh.dump_state()
+    fresh.comp_reserved[0] = 1
+    del fresh.comm_paid[0]
+    assert fresh.check_invariants(fresh.start) == [
+        "component 0 has no payment record"]
+    assert "component 0: nodes=0 cluster=0 reserved=1 paid=none" in (
+        fresh.dump_state())
 
 
 def test_dump_state_is_readable():

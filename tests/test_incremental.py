@@ -1,10 +1,11 @@
 """Incremental engine state against the rebuild-and-scan references.
 
-`apply_moves` derives each configuration from its parent, carrying the
-member index; greedy and naive index their pair counters by node. Each is run side by side with its reference from
-oracles.py on random inputs.
+`apply_moves` derives each configuration from its parent on one shared,
+rerooted store; greedy and naive index their pair counters by node. Each
+is run side by side with its reference from oracles.py on random inputs.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from oracles import (
     scan_nodes_in,
 )
 from repart import engine
-from repart.adversaries import PairChase
+from repart.adversaries import PairChase, RandomPairs
 from repart.core import (
     Configuration,
     Params,
@@ -52,11 +53,11 @@ def move_batches(draw):
 
 
 def _same_placement(got, want):
-    assert got == want
-    assert got.canonical() == want.canonical()
     for c in range(want.cluster_count):
         assert got.occupancy(c) == want.occupancy(c)
         assert got.nodes_in(c) == scan_nodes_in(want, c)
+    assert got == want
+    assert got.canonical() == want.canonical()
 
 
 @settings(max_examples=300, deadline=None)
@@ -82,6 +83,68 @@ def test_apply_moves_matches_rebuild(case, alpha):
         assert got[1] == want[1]
         _same_placement(got[0], want[0])
         config, ref = got[0], want[0]
+
+
+# each read of a version beside the same read of its rebuilt reference
+_READS = {
+    "cluster_of": (lambda c: [c.cluster_of(v) for v in range(c.n)],) * 2,
+    "occupancy": (lambda c: [c.occupancy(x) for x in range(c.cluster_count)],) * 2,
+    "nodes_in": (lambda c: [c.nodes_in(x) for x in range(c.cluster_count)],
+                 lambda c: [scan_nodes_in(c, x) for x in range(c.cluster_count)]),
+    "canonical": (Configuration.canonical,) * 2,
+    "hash": (hash,) * 2,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements(), st.data())
+def test_every_version_of_a_tree_reads_as_its_rebuild(placed, data):
+    # batches branch off drawn earlier versions, and the reads then visit
+    # the versions in a drawn order, each kind of read coming first at
+    # some point, so the store is walked back and forth between siblings;
+    # every version, and the parent of every rejected batch, must read as
+    # its independent rebuild
+    config, ell, _ = placed
+    versions = [(config, config)]        # (version, rebuilt reference)
+    move = st.tuples(st.integers(-1, config.n), st.integers(-1, ell))
+    for _ in range(data.draw(st.integers(0, 10))):
+        got, want = data.draw(st.sampled_from(versions))
+        moves = data.draw(st.lists(move, max_size=6))
+        if data.draw(st.booleans()):
+            got.nodes_in(0)              # build the member index here
+        try:
+            child = rebuild_apply_moves(want, moves, 1)
+        except RepartError as exc:
+            with pytest.raises(type(exc)):
+                apply_moves(got, moves, 1)
+            _same_placement(got, want)
+            continue
+        out = apply_moves(got, moves, 1)
+        assert out[1] == child[1]
+        versions.append((out[0], child[0]))
+    index = st.integers(0, len(versions) - 1)
+    kind = st.sampled_from(sorted(_READS) + ["=="])
+    for i, read, j in data.draw(st.lists(st.tuples(index, kind, index),
+                                         max_size=20)):
+        (got, want), (other, other_want) = versions[i], versions[j]
+        if read == "==":
+            assert (got == other) == (want == other_want)
+        else:
+            fn, ref = _READS[read]
+            assert fn(got) == ref(want), read
+    for i in data.draw(st.permutations(range(len(versions)))):
+        _same_placement(*versions[i])
+
+
+def test_rerooting_walks_a_long_chain_without_recursion():
+    # a replay walks the store from the newest version back to the first
+    p = Params(4, 2, 2)
+    first = config = contiguous_configuration(p)
+    for _ in range(5001):
+        config, _ = apply_moves(config, [(1, 1), (2, 0)], p.alpha)
+    assert config.assignment == (0, 1, 0, 1)
+    assert first.assignment == (0, 0, 1, 1) and first.nodes_in(1) == [2, 3]
+    assert config.nodes_in(0) == [0, 2] and config.occupancy(1) == 2
 
 
 def _lockstep(alg, ref, params, initial, pairs):
@@ -131,11 +194,13 @@ def test_naive_matches_scan_reference(case):
 
 
 def test_steps_do_no_full_rebuilds(monkeypatch):
-    """Validating constructions and full member-index builds happen a
-    constant number of times per run, not once per step."""
+    """Validating constructions, full member-index builds and full
+    placement snapshots happen a constant number of times per run, not
+    once per step: no read on the step path is O(n)."""
     p = Params(4096, 2, 2048, alpha=2)
-    counts = {"init": 0, "index": 0}
+    counts = {"init": 0, "index": 0, "snapshot": 0}
     init, build = Configuration.__init__, Configuration._build_members
+    snapshot = Configuration.assignment.fget
 
     def counted_init(self, *args):
         counts["init"] += 1
@@ -145,12 +210,24 @@ def test_steps_do_no_full_rebuilds(monkeypatch):
         counts["index"] += 1
         return build(self)
 
+    def counted_snapshot(self):
+        counts["snapshot"] += 1
+        return snapshot(self)
+
     monkeypatch.setattr(Configuration, "__init__", counted_init)
     monkeypatch.setattr(Configuration, "_build_members", counted_build)
-    for alg in (NullAlgorithm(), NaiveCollocator(p)):
+    monkeypatch.setattr(Configuration, "assignment", property(counted_snapshot))
+    # on the chase both endpoint clusters of greedy trip together; on
+    # random pairs one trips alone and greedy reads its partner's pairs
+    for alg, src in ((NullAlgorithm(), PairChase(p, 10 ** 9)),
+                     (NaiveCollocator(p), PairChase(p, 10 ** 9)),
+                     (GreedyMatcher(p), PairChase(p, 10 ** 9)),
+                     (GreedyMatcher(p, lam=1), RandomPairs(0, p.n, 300))):
         initial = contiguous_configuration(p)
-        counts.update(init=0, index=0)
-        tr = engine.run(alg, PairChase(p, 10 ** 9), p, initial, 300)
+        counts.update(init=0, index=0, snapshot=0)
+        tr = engine.run(alg, src, p, initial, 300)
         assert len(tr.steps) == 300
         assert counts["init"] == 0 and counts["index"] <= 1, counts
-    assert tr.ledger.mig_total > 0   # naive swapped along the chase
+        assert counts["snapshot"] == 0, counts
+        if not isinstance(alg, NullAlgorithm):
+            assert tr.ledger.mig_total > 0   # it swapped
