@@ -134,11 +134,14 @@ def _offline_cost(spec: RunSpec, transcript: engine.Transcript,
     if shape not in spaces:
         spaces.clear()  # one m^2 transition matrix alive at a time
         spaces[shape] = offline.PartitionSpace(spec.params())
-    oracle = (offline.optimal_cost if spec.oracle == "dp"
-              else offline.static_optimal)
-    total, _ = oracle(transcript.requests(), spec.params(), initial_for(spec),
-                      spaces[shape])
-    return total
+    if spec.oracle == "static":
+        return offline.static_optimal(transcript.requests(), spec.params(),
+                                      initial_for(spec), spaces[shape])[0]
+    # the total only: no per-request vectors are kept
+    work = offline.WorkFunction(spec.params(), initial_for(spec), spaces[shape])
+    for req in transcript.requests():
+        work.push(req)
+    return work.value
 
 
 def cmd_run(spec: RunSpec, spaces: Optional[Spaces] = None) -> dict:

@@ -12,22 +12,28 @@ the first ell-1 rows fix it. `PartitionSpace` keeps blocks as bitmasks and
 memoises costs by those rows, so the assignment solver runs once per
 distinct overlap matrix rather than once per pair of states.
 
-`optimal_cost` maintains the work function of a metrical task system
-(Borodin, Linial & Saks 1992). Its value vector x is closed under moves:
-x[s] <= x[s'] + T[s'][s] for all states s, s'. A request adds e[s] = 1 to
-each state s that splits its endpoints, and since T is a metric (zero
-diagonal, triangle inequality) the next closed vector is x + e, except that
-a state with e[s] = 1 keeps x[s] when some state s' with e[s'] = 0 reaches
-it tightly, x[s'] + T[s'][s] = x[s]. Distinct states are at least 2*alpha
-apart (a node cannot move alone between full blocks), so only states with
-x[s'] <= x[s] - 2*alpha can be that witness. The schedule is rebuilt
-afterwards along its own path, with the same lowest-index ties.
+`WorkFunction` maintains the work function of a metrical task system
+(Borodin, Linial & Saks 1992; Chrobak & Larmore 1992). Its value vector x
+is closed under moves: x[s] <= x[s'] + T[s'][s] for all states s, s'. A
+request adds e[s] = 1 to each state s that splits its endpoints, and since
+T is a metric (zero diagonal, triangle inequality) the next closed vector
+is x + e, except that a state with e[s] = 1 keeps x[s] when some state s'
+with e[s'] = 0 reaches it tightly, x[s'] + T[s'][s] = x[s]. The witnesses
+are found by set algebra on bitmasks of states: `level[v]` holds the states
+with x[s] = v, and `PartitionSpace.near()[d][w]` the states at cost d from
+w. For each value v of a collocating state and each cost d, the split
+states of `level[v + d]` that some collocating w of value v has in
+`near[d][w]` keep their value; the rest of the split states rise by one.
+`optimal_cost` records each x + e before its closure and rebuilds the
+schedule afterwards along its own path, with the lowest-index ties.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
+from operator import add, floordiv, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -40,8 +46,9 @@ from .core import (
 )
 
 # The transition matrix has m^2 entries. On a 2-core Xeon, m=1716 (n=14,
-# k=7) builds in 1.4 s and 24 MB; the next space, m=5775 (n=12, k=4), takes
-# 14 s and 264 MB.
+# k=7) builds in 1.4 s and 24 MB, and its neighbour masks (three costs, m
+# masks of m bits each) take 1.3 MB more; the next space, m=5775 (n=12,
+# k=4), takes 14 s and 264 MB.
 PARTITION_CAP = 2000
 
 Partition = Tuple[Tuple[int, ...], ...]
@@ -121,7 +128,9 @@ class PartitionSpace:
                                    for p in self.partitions]))
         self._cost_by_overlap: Dict[Tuple[int, ...], int] = {}
         self._sides: Dict[Tuple[int, int], Tuple[List[int], List[int], List[int]]] = {}
+        self._split_masks: Dict[Tuple[int, int], int] = {}
         self._trans: Optional[List[List[int]]] = None
+        self._near: Optional[Dict[int, List[int]]] = None
 
     def __len__(self):
         return len(self.partitions)
@@ -142,6 +151,17 @@ class PartitionSpace:
             out = self._sides[pair] = (
                 serve, [s for s, e in enumerate(serve) if e],
                 [s for s, e in enumerate(serve) if not e])
+        return out
+
+    def split_mask(self, u: int, v: int) -> int:
+        """The states that split u and v as a bitmask, state s as bit s."""
+        pair = (u, v) if u < v else (v, u)
+        out = self._split_masks.get(pair)
+        if out is None:
+            # the serve costs read as binary digits
+            digits = bytes(reversed(self.sides(u, v)[0]))
+            out = self._split_masks[pair] = int(
+                digits.translate(bytes.maketrans(b"\0\1", b"01")), 2)
         return out
 
     def row(self, i: int) -> List[int]:
@@ -178,6 +198,27 @@ class PartitionSpace:
             self._trans = [self.row(i) for i in range(len(self))]
         return self._trans
 
+    def near(self) -> Dict[int, List[int]]:
+        """near()[d][w] is the bitmask of the states at cost d from state w,
+        for each distinct nonzero cost d, in increasing order of d."""
+        if self._near is None:
+            trans, m, alpha = self.transitions(), len(self), self.params.alpha
+            # every entry of the matrix came from the memo, and each cost is
+            # alpha times a migration count below n, so a byte holds the count
+            costs = sorted(set(self._cost_by_overlap.values()) - {0})
+            near = {d: [0] * m for d in costs}
+            digits = []     # (masks of d, byte -> b"1" if it counts d else b"0")
+            for d in costs:
+                j = d // alpha
+                digits.append((near[d], b"0" * j + b"1" + b"0" * (255 - j)))
+            for w, row in enumerate(trans):
+                # reversed, so that state s is bit s
+                code = bytes(map(floordiv, reversed(row), itertools.repeat(alpha)))
+                for masks, table in digits:
+                    masks[w] = int(code.translate(table), 2)
+            self._near = near
+        return self._near
+
 
 def _space_for(params: Params, space: Optional[PartitionSpace]) -> PartitionSpace:
     """The given space, or a new one; a space built for another shape or
@@ -191,6 +232,58 @@ def _space_for(params: Params, space: Optional[PartitionSpace]) -> PartitionSpac
     return space
 
 
+class WorkFunction:
+    """The offline optimum of a growing request stream, one request at a
+    time: `push` serves a request and `value` is the optimum so far.
+
+    `x` is the closed value vector and `level` maps each value in it to the
+    bitmask of the states that hold it; see the module docstring.
+    """
+
+    def __init__(self, params: Params, initial: Configuration,
+                 space: Optional[PartitionSpace] = None):
+        self.space = space = _space_for(params, space)
+        self.start = space.state_of(initial)
+        self.x = list(space.transitions()[self.start])
+        self.level: Dict[int, int] = {}
+        for s, v in enumerate(self.x):
+            self.level[v] = self.level.get(v, 0) | 1 << s
+        self._near = space.near()
+
+    @property
+    def value(self) -> int:
+        return min(self.level)
+
+    def push(self, req: Request) -> List[int]:
+        """Serve req and return the unclosed vector x + e."""
+        serve, _, together = self.space.sides(req.u, req.v)
+        split = self.space.split_mask(req.u, req.v)
+        x, level = self.x, self.level
+        # the collocating states by value, the witnesses
+        groups: Dict[int, List[int]] = {}
+        for w in together:
+            groups.setdefault(x[w], []).append(w)
+        kept = 0
+        for v, ws in groups.items():
+            for d, masks in self._near.items():
+                target = level.get(v + d, 0) & split & ~kept
+                if target:
+                    kept |= target & reduce(or_, map(masks.__getitem__, ws))
+        served = list(map(add, x, serve))
+        self.x = x = served.copy()
+        up = split & ~kept
+        while kept:
+            s = kept.bit_length() - 1
+            x[s] -= 1
+            kept ^= 1 << s
+        self.level = new = {}
+        for v, mask in level.items():
+            for value, part in ((v, mask & ~up), (v + 1, mask & up)):
+                if part:
+                    new[value] = new.get(value, 0) | part
+        return served
+
+
 def optimal_cost(requests: Sequence[Request], params: Params,
                  initial: Configuration,
                  space: Optional[PartitionSpace] = None
@@ -202,36 +295,15 @@ def optimal_cost(requests: Sequence[Request], params: Params,
     (initial state first), ties resolved toward the lowest state index.
     """
     from array import array
-    from bisect import bisect_right
-    from operator import add
 
-    space = _space_for(params, space)
-    trans = space.transitions()
-    start = space.state_of(initial)
-    gap = 2 * space.params.alpha
-    x = list(trans[start])   # closed values before the first request
+    work = WorkFunction(params, initial, space)
+    space, start = work.space, work.start
     # values right after each request, as machine words: kept for the
     # backtrack, and costs above 256 would each be an int object
-    served: List[array] = []
-    for req in requests:
-        serve, split, together = space.sides(req.u, req.v)
-        nxt = list(map(add, x, serve))
-        served.append(array("q", nxt))
-        # witnesses in order of value, so each state checks a prefix
-        together = sorted(together, key=x.__getitem__)
-        low = [x[w] for w in together]
-        for s in split:
-            xs = x[s]
-            reach = bisect_right(low, xs - gap)
-            if reach:
-                row = trans[s]
-                for w in together[:reach]:
-                    if x[w] + row[w] == xs:
-                        nxt[s] = xs
-                        break
-        x = nxt
+    served = [array("q", work.push(req)) for req in requests]
     if not served:
         return 0, [space.partitions[start]]
+    trans = space.transitions()
     total = min(served[-1])
     path = [served[-1].index(total)]
     for prev in reversed(served[:-1]):

@@ -113,6 +113,20 @@ def test_run_static_oracle_bounds_dp():
     assert none["off_total"] is None and none["ratio"] is None
 
 
+def test_dp_totals_are_pushed_through_the_work_function(monkeypatch):
+    # the total needs no schedule, so the report keeps no vector per request
+    spec = _spec(steps=200, seed=4)
+    transcript, _, _ = cli.execute(spec)
+    want, _ = offline.optimal_cost(transcript.requests(), spec.params(),
+                                   cli.initial_for(spec))
+
+    def refuse(*args, **kw):
+        raise AssertionError("optimal_cost keeps the served vectors")
+
+    monkeypatch.setattr(offline, "optimal_cost", refuse)
+    assert cli.cmd_run(spec)["off_total"] == want
+
+
 def test_verify_passes_clean_runs():
     code, text = cli.cmd_verify(_spec(alg="components", source="planted",
                                       n=12, k=3, l=4, delta=4, steps=400,

@@ -1,7 +1,7 @@
 """Offline oracles: state space, dynamic program, bracketing strategies.
 
-The memoised transition matrix, the sweep over the states a request can
-raise and the pair-counting static optimum are checked against the
+The memoised transition matrix, its neighbour masks, the work function's
+bitmask sweep and the pair-counting static optimum are checked against the
 pairwise and full-scan references in oracles.py.
 """
 
@@ -25,6 +25,7 @@ from repart.core import Params, Request, TooLarge, contiguous_configuration, \
 from repart.offline import (
     MalformedProfile,
     PartitionSpace,
+    WorkFunction,
     enumerate_partitions,
     optimal_cost,
     partition_count,
@@ -256,6 +257,65 @@ def test_sweep_matches_full_scan_on_seeded_streams():
                 sigma = _random_requests(rng, n, rng.randint(0, 30))
                 assert optimal_cost(sigma, space.params, initial, space) == \
                     full_scan_optimal_cost(sigma, space.params, initial, space)
+
+
+def test_sweep_matches_full_scan_at_large_alpha():
+    # at alpha 300 the values spread past 255 from the first vector on, so
+    # no byte holds a value; on the smaller spaces one stream repeats a split
+    # pair until moving pays
+    rng = random.Random(9)
+    for n, k, ell in SMALL_SHAPES:
+        if not 1 < partition_count(n, k, ell) <= 126:
+            continue
+        for alpha in (7, 50, 300):
+            space = _space(n, k, ell, alpha)
+            params = space.params
+            initial = contiguous_configuration(params)
+            assert max(space.transitions()[0]) > 255 or alpha < 300
+            streams = [_random_requests(rng, n, rng.randint(0, 30))
+                       for _ in range(3)]
+            if len(space) <= 35:
+                u, v = 0, n - 1         # split in the contiguous start
+                streams.append([Request(u, v)] * (2 * alpha + 3) +
+                               _random_requests(rng, n, 10))
+            for sigma in streams:
+                assert optimal_cost(sigma, params, initial, space) == \
+                    full_scan_optimal_cost(sigma, params, initial, space), \
+                    (n, k, ell, alpha, sigma)
+
+
+@pytest.mark.parametrize("alpha", (1, 7, 300))
+def test_state_masks_match_a_scan_of_the_matrix(alpha):
+    for n, k, ell in SMALL_SHAPES:
+        space = PartitionSpace(Params(n, k, ell, alpha=alpha))
+        near = space.near()         # builds the matrix first
+        trans = space.transitions()
+        costs = sorted({c for row in trans for c in row} - {0})
+        assert list(near) == costs, (n, k, ell)
+        for d in costs:
+            assert near[d] == [sum(1 << s for s, c in enumerate(row) if c == d)
+                               for row in trans], (n, k, ell, d)
+        assert space.near() is near
+        for u, v in itertools.combinations(range(n), 2):
+            assert space.split_mask(v, u) == \
+                sum(1 << s for s in space.sides(u, v)[1]), (n, k, ell, u, v)
+
+
+def test_work_function_value_is_the_optimum_of_each_prefix():
+    rng = random.Random(10)
+    for n, k, ell in ((4, 2, 2), (6, 2, 3), (6, 3, 2), (8, 4, 2)):
+        for alpha in (1, 3):
+            space = _space(n, k, ell, alpha)
+            initial = contiguous_configuration(space.params)
+            sigma = _random_requests(rng, n, 25)
+            work = WorkFunction(space.params, initial, space)
+            values = [work.value]
+            for req in sigma:
+                work.push(req)
+                values.append(work.value)
+            assert values == [
+                full_scan_optimal_cost(sigma[:t], space.params, initial, space)[0]
+                for t in range(len(sigma) + 1)], (n, k, ell, alpha)
 
 
 def test_state_cap_fails_fast():
