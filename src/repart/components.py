@@ -29,9 +29,10 @@ lemmas:
    qualified before the step. At most room = k - vol(S) members lie
    outside S, so every member lies within room hops of S along members,
    and c has at most room+1 mates in X (the two of S and at most room-1
-   others), so its room+1 heaviest weights sum to at least alpha.
-   Seed-only decision: if only S survives this narrowing, X = S, which
-   qualifies exactly when vol(S) <= k and w(S) >= alpha.
+   others), so its room+1 heaviest weights sum to at least alpha. X is
+   tight, com(X) = (|X|-1)*alpha: before the increment X had |X| >= 2 and
+   vol(X) <= k but did not qualify, so com(X) <= (|X|-1)*alpha - 1, as
+   weights are integers, and the increment added 1 to com(X), as X holds S.
 2. Epoch core (precondition: merge-exhausted, which holds after the merge,
    since a set with the new component would have extended the maximum X).
    A nonempty set with com >= vol*alpha then has vol > k: a singleton has
@@ -64,6 +65,22 @@ the same set. `step` relies on lemmas 1 and 2 and so on the invariant that
 `residual_merge_set` checks after every step; that check relies on lemma 3
 only, and falls back to a search over all components whenever a pair
 qualifies or the core holds a merge set.
+
+By lemma 1, `step` finds X among the connected supersets of S alone, which
+it walks with ESU (Wernicke 2006, "Efficient detection of network
+motifs") rooted at S. A set grows only from its extension list, which for
+S holds S's neighbours. Taking the entry c hands c's branch the entries
+after c plus c's exclusive neighbours, those neither in the set nor next
+to it; so each connected superset of S is visited once, and an entry
+passed over is not offered again below its later siblings. The walk takes
+only components that fit the room left and have deg >= alpha; with none,
+it visits S alone. At room <= 2, which covers every step at k <= 4, that
+is all: past S it visits each S+c, and for each c the sets S+c+d with d a
+later entry of S's list or a neighbour of c, so O(|N(S)| * max deg) sets,
+as |N(S)| <= 2 * max deg. From room 3 up it keeps to the alpha-core
+within room hops of S, peeled to a fan-in of room+1, and cuts a branch by
+find_merge_set's density bound over the candidates the branch can still
+take.
 """
 
 import math
@@ -162,6 +179,14 @@ def _shift(edges: List[Tuple[int, int]], counter: List[int], sign: int):
         counter[d] += sign * w
 
 
+def _heaviest(weights: Iterable[int], r: int) -> List[int]:
+    """Entry j < r is the sum of the j heaviest of `weights`."""
+    sums = [0]
+    for w in sorted(weights, reverse=True)[:r - 1]:
+        sums.append(sums[-1] + w)
+    return sums + [sums[-1]] * (r - len(sums))
+
+
 def find_merge_set(sizes: Dict[int, int], weights: Dict[PairKey, int],
                    k: int, alpha: int,
                    seed: Sequence[int] = ()) -> Tuple[int, ...]:
@@ -178,13 +203,7 @@ def find_merge_set(sizes: Dict[int, int], weights: Dict[PairKey, int],
         return ()
     comps, size, gain, edges, com0 = _search_graph(sizes, weights, seed)
     m = len(comps)
-    # heaviest[j][r]: the sum of candidate j's r heaviest weights
-    heaviest = []
-    for adj in edges:
-        sums = [0]
-        for w in sorted((w for _, w in adj), reverse=True)[:k - 1]:
-            sums.append(sums[-1] + w)
-        heaviest.append(sums + [sums[-1]] * (k - len(sums)))
+    heaviest = [_heaviest([w for _, w in adj], k) for adj in edges]
 
     best_key: Optional[Tuple[int, int, Tuple[int, ...]]] = None
     best: Tuple[int, ...] = ()
@@ -327,6 +346,89 @@ def _within(nbrs: Dict[int, Dict[int, int]], seed: Sequence[int], hops: int,
     return reached
 
 
+def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
+                         nodes: Dict[int, List[int]], deg: Dict[int, int],
+                         seed: PairKey, k: int, alpha: int,
+                         heaviest: Optional[Dict[int, List[int]]] = None
+                         ) -> Tuple[Tuple[int, ...], int]:
+    """find_merge_set's answer among the sets that hold the sorted pair
+    `seed` and whose members all reach it along members, and how many sets
+    it visited. The other members are components with deg >= alpha and,
+    given `heaviest`, among its keys.
+
+    The walk is ESU rooted at the seed (see the module docstring); each
+    extension list entry carries its size and its weight into the set, so
+    com follows by addition. `heaviest` maps each candidate to the prefix
+    sums of its heaviest weights to the others; given it, a branch is cut
+    by find_merge_set's density bound over what the branch can still take:
+    its extension list and the candidates not yet next to the set.
+    """
+    a, b = seed
+    ra, rb = nbrs.get(a, {}), nbrs.get(b, {})
+    room = k - len(nodes[a]) - len(nodes[b])
+    com0 = ra.get(b, 0)
+    best = (2, com0, seed) if room >= 0 and com0 >= alpha else (0, 0, ())
+    if room <= 0:
+        return best[2], 1
+    blocked = {a, b}.union(ra, rb)      # the set and its neighbours
+    visits = 1
+
+    def offer(card, com, members):
+        nonlocal best
+        if (card, com) >= best[:2]:
+            ids = tuple(sorted(members))
+            if (card, com) > best[:2] or ids < best[2]:
+                best = (card, com, ids)
+
+    # (nested functions go unannotated: annotations are evaluated per call)
+    def grow(chosen, ext, left, com):
+        nonlocal visits
+        card = len(chosen)
+        if card + left < best[0]:
+            return
+        if heaviest is not None:
+            lifts = [2 * (g - alpha) + heaviest[d][left - 1]
+                     for d, _, g in ext]
+            lifts += [heaviest[d][left - 1] - 2 * alpha for d in heaviest
+                      if d not in blocked and len(nodes[d]) <= left]
+            lifts.sort()
+            if 2 * (com - (card - 1) * alpha) + sum(
+                    lift for lift in lifts[-left:] if lift > 0) < 0:
+                return
+        visits += len(ext)
+        need = card * alpha
+        for i, (c, s, g) in enumerate(ext):
+            new_com = com + g
+            if new_com >= need:
+                offer(card + 1, new_com, chosen + (c,))
+            rest = left - s
+            if rest <= 0:
+                continue
+            row = nbrs[c]
+            fresh = row.keys() - blocked
+            sub = [(d, t, h + row.get(d, 0)) for d, t, h in ext[i + 1:]
+                   if t <= rest]
+            sub += [(d, t, row[d]) for d in fresh
+                    if (t := len(nodes[d])) <= rest and deg[d] >= alpha
+                    and (heaviest is None or d in heaviest)]
+            if rest > 1:
+                blocked.update(fresh)
+                grow(chosen + (c,), sub, rest, new_com)
+                blocked.difference_update(fresh)
+                continue
+            # each entry has size 1 and fills the set: visit it here
+            visits += len(sub)
+            for d, _, h in sub:
+                if new_com + h >= need + alpha:
+                    offer(card + 2, new_com + h, chosen + (c, d))
+
+    grow(seed, [(d, t, ra.get(d, 0) + rb.get(d, 0)) for d in blocked
+                if d != a and d != b and (t := len(nodes[d])) <= room
+                and deg[d] >= alpha and (heaviest is None or d in heaviest)],
+         room, com0)
+    return best[2], visits
+
+
 # ---------------------------------------------------------------------------
 # The online algorithm proper.
 
@@ -447,22 +549,26 @@ class ComponentRepartitioner:
                 deg[c] = deg.get(c, 0) + 1
                 if deg[c] > alpha * len(nodes[c]):
                     self.hot.add(c)
-            # lemma 1: every merge set holds the seed and lies in its core
-            # within `room` hops of it; if only the seed is left, it is the
-            # merge set when it qualifies
+            # lemma 1: every merge set is a connected superset of the seed
+            # whose other members have deg >= alpha; from room 3 up, the
+            # walk keeps to their core within `room` hops of the seed and
+            # cuts by density
             room = self.k - len(nodes[cu]) - len(nodes[cv])
-            near = set(key)
-            if room > 0:
+            heaviest = None
+            if room > 2:
                 near = _within(self.nbrs, key, room, lambda c: (
                     len(nodes[c]) <= room and deg[c] >= alpha))
                 if len(near) > 2:
                     near = _peel(near, self.nbrs, key, lambda c: alpha,
                                  lambda c: room + 1)
-            if len(near) > 2 or (room >= 0 and w >= alpha):
-                merge_set = find_merge_set(
-                    *self._subgraph(near), self.k, alpha, seed=key)
-                if merge_set:
-                    moves += self._merge(merge_set)
+                near.difference_update(key)
+                heaviest = {c: _heaviest([x for d, x in self.nbrs[c].items()
+                                          if d in near], room)
+                            for c in near}
+            merge_set, _ = _connected_merge_set(
+                self.nbrs, nodes, deg, key, self.k, alpha, heaviest)
+            if merge_set:
+                moves += self._merge(merge_set)
             # lemma 2: the minimum epoch set lies in the dense core of the
             # seeds and the hot components; with only the seeds left, it is
             # the two seeds if they qualify

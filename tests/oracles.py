@@ -85,6 +85,44 @@ def naive_epoch_set(sizes, weights, k, alpha, seed=()):
     return min(minimal, key=lambda q: (len(q[1]), q[2], q[1]))[1]
 
 
+def naive_connected_merge_set(sizes, weights, k, alpha, seed):
+    """The step's walk by enumeration: naive_merge_set's answer among the
+    supersets of the pair `seed` whose every member reaches the seed along
+    members and whose other members have total weight >= alpha; and how many
+    such sets have vol <= k."""
+    nbrs, deg = {}, {}
+    for (a, b), w in weights.items():
+        if w > 0:
+            nbrs.setdefault(a, set()).add(b)
+            nbrs.setdefault(b, set()).add(a)
+            deg[a] = deg.get(a, 0) + w
+            deg[b] = deg.get(b, 0) + w
+    cands = sorted(c for c in sizes
+                   if c not in seed and deg.get(c, 0) >= alpha)
+    best_key, best, count = None, (), 0
+    for r in range(len(cands) + 1):
+        for extra in itertools.combinations(cands, r):
+            sub = tuple(sorted(tuple(seed) + extra))
+            if sum(sizes[c] for c in sub) > k:
+                continue
+            reached, frontier = set(seed), list(seed)
+            while frontier:
+                for d in nbrs.get(frontier.pop(), ()):
+                    if d in sub and d not in reached:
+                        reached.add(d)
+                        frontier.append(d)
+            if len(reached) < len(sub):
+                continue
+            count += 1
+            com = internal_weight(sub, weights)
+            if com < (len(sub) - 1) * alpha:
+                continue
+            key = (-len(sub), -com, sub)
+            if best_key is None or key < best_key:
+                best_key, best = key, sub
+    return best, count
+
+
 def random_component_graph(rng, k):
     """Sparse weighted graph on 2..8 components with gappy, unordered ids."""
     count = rng.randint(2, 8)

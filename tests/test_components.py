@@ -7,6 +7,7 @@ lockstep with the reference that searches all of them.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from oracles import (
     ReferenceComponents,
     dense_component_graph,
+    internal_weight,
+    naive_connected_merge_set,
     naive_epoch_set,
     naive_merge_set,
     random_component_graph,
@@ -25,6 +28,9 @@ from repart.components import (
     ComponentRepartitioner,
     InsufficientAugmentation,
     _adjacency,
+    _heaviest,
+    _peel,
+    _within,
     find_epoch_set,
     find_merge_set,
 )
@@ -171,6 +177,103 @@ def test_residual_check_agrees_with_naive_enumeration():
     assert found > 100 and in_core > 10
 
 
+def _walk(sizes, weights, k, alpha, seed, bound=False):
+    """The step's merge walk on a standalone graph; with `bound`, cut by
+    density over every candidate."""
+    nbrs = _adjacency(weights, sizes)
+    deg = {c: sum(row.values()) for c, row in nbrs.items()}
+    room = k - sizes[seed[0]] - sizes[seed[1]]
+    heaviest = None
+    if bound and room > 0:
+        pool = {c for c in nbrs if c not in seed and deg[c] >= alpha}
+        heaviest = {c: _heaviest([w for d, w in nbrs[c].items() if d in pool],
+                                 room) for c in pool}
+    return components._connected_merge_set(
+        nbrs, {c: [c] * size for c, size in sizes.items()}, deg, seed, k,
+        alpha, heaviest)
+
+
+def test_merge_walk_agrees_with_connected_enumeration():
+    # Each set the walk visits is a distinct connected superset of the seed
+    # with vol <= k, so the visits never exceed their number.
+    rng = random.Random(600)
+    hits = 0
+    for i in range(600):
+        k = rng.randint(2, 6)
+        alpha = rng.randint(1, 3)
+        if i % 2:
+            sizes, weights = random_component_graph(rng, k)
+        else:
+            sizes, weights = dense_component_graph(rng, k, alpha)
+        seed = tuple(sorted(rng.sample(sorted(sizes), 2)))
+        expected, count = naive_connected_merge_set(sizes, weights, k, alpha,
+                                                    seed)
+        for bound in (False, True):
+            got, visits = _walk(sizes, weights, k, alpha, seed, bound)
+            assert got == expected, (k, alpha, sizes, weights, seed, bound)
+            assert visits <= max(count, 1)
+        hits += len(expected) > 2
+    assert hits > 50
+
+
+def test_merge_walk_visits_each_connected_set_once():
+    # Beyond the seed (1, 2), 5 joins only through 4, after 4's sibling 3
+    # has had its branch. No cut fires here, so the walk visits exactly the
+    # connected supersets of the seed with vol <= k; an ESU that handed a
+    # branch its whole extension list, not the entries after the new member,
+    # would visit some of them again.
+    sizes = dict.fromkeys((1, 2, 3, 4, 5), 1)
+    weights = {(1, 2): 2, (1, 3): 1, (2, 4): 1, (4, 5): 3, (3, 5): 1}
+    for k, expected, count in ((4, (1, 2, 4, 5), 6), (5, (1, 2, 3, 4, 5), 7)):
+        assert naive_connected_merge_set(sizes, weights, k, 2, (1, 2)) == (
+            expected, count)
+        assert _walk(sizes, weights, k, 2, (1, 2)) == (expected, count)
+
+
+def test_merge_walk_density_cut_counts_candidates_beyond_the_set():
+    # At the seed (1, 2), 4 is not yet next to the set, but the merge set
+    # (1, 2, 3, 4) needs its weight to 3: a bound over the extension list
+    # alone would cut the seed's branch.
+    sizes = dict.fromkeys((1, 2, 3, 4), 1)
+    weights = {(1, 2): 1, (2, 3): 1, (3, 4): 7}
+    assert _walk(sizes, weights, 4, 3, (1, 2), bound=True)[0] == (1, 2, 3, 4)
+
+
+def test_merge_walk_matches_the_ball_search(monkeypatch):
+    # On every step of seeded runs at k = 4 and k = 8, the walk returns what
+    # find_merge_set returns on lemma 1's ball: the components within room
+    # hops of the seed through sizes <= room and deg >= alpha, peeled to a
+    # fan-in of room + 1.
+    walk = components._connected_merge_set
+    seen = []
+
+    def checked(nbrs, nodes, deg, seed, k, alpha, heaviest=None):
+        got = walk(nbrs, nodes, deg, seed, k, alpha, heaviest)
+        room = k - len(nodes[seed[0]]) - len(nodes[seed[1]])
+        ball = set(seed)
+        if room > 0:
+            ball = _within(nbrs, seed, room, lambda c: (
+                len(nodes[c]) <= room and deg[c] >= alpha))
+            ball = _peel(ball, nbrs, seed, lambda c: alpha, lambda c: room + 1)
+        state = SimpleNamespace(comp_nodes=nodes, nbrs=nbrs)
+        assert got[0] == find_merge_set(
+            *ComponentRepartitioner._subgraph(state, ball), k, alpha,
+            seed=seed)
+        seen.append((room, len(got[0])))
+        return got
+
+    monkeypatch.setattr(components, "_connected_merge_set", checked)
+    for n, k, ell, alpha, steps in ((16, 4, 4, 3, 1000), (32, 8, 4, 2, 500),
+                                    (32, 8, 4, 3, 500)):
+        p = Params(n, k, ell, alpha=alpha, delta=4)
+        for src in (RandomPairs(5, n, steps),
+                    PlantedPartition(5, p, 0.9, 0.1, steps=steps)):
+            alg = ComponentRepartitioner(p, contiguous_configuration(p))
+            run(alg, src, p, alg.start, steps)
+    assert sum(room >= 3 for room, _ in seen) > 500
+    assert sum(size >= 3 for _, size in seen) > 20
+
+
 # -- initial layout ----------------------------------------------------------
 
 
@@ -262,6 +365,44 @@ def test_merge_without_reservation_lands_in_a_fresh_cluster():
     assert alg.check_invariants(config) == []
 
 
+def test_step_merges_four_components_of_volume_exactly_k():
+    # No set qualifies before the last request; after it, the four
+    # singletons qualify together with vol = k, so a walk that stopped
+    # growing at vol k-1 would merge only three of them.
+    p = Params(8, 4, 2, alpha=2, delta=4)
+    alg = ComponentRepartitioner(p, contiguous_configuration(p))
+    config, moves = _drive(alg, alg.start,
+                           [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
+    assert moves == [[]] * 5
+    config, _ = _drive(alg, config, [(0, 1)])
+    assert alg.comp_nodes[alg.comp_of[0]] == [0, 1, 2, 3]
+    assert alg.check_invariants(config) == []
+
+
+def test_step_merges_are_tight(monkeypatch):
+    # Lemma 1's tightness: every merge set the step forms has com exactly
+    # (|X|-1)*alpha.
+    merge = ComponentRepartitioner._merge
+    formed = []
+
+    def checked(self, merge_set):
+        assert internal_weight(merge_set, self.weights) == (
+            len(merge_set) - 1) * self.alpha, merge_set
+        formed.append(len(merge_set))
+        return merge(self, merge_set)
+
+    monkeypatch.setattr(ComponentRepartitioner, "_merge", checked)
+    for n, k, ell, alpha in GEOMETRIES + ((16, 4, 4, 3), (24, 6, 4, 2),
+                                          (32, 8, 4, 2)):
+        p = Params(n, k, ell, alpha=alpha, delta=4)
+        for seed in range(3):
+            for src in (RandomPairs(seed, n, 400),
+                        PlantedPartition(seed, p, 0.9, 0.1, steps=400)):
+                alg = ComponentRepartitioner(p, contiguous_configuration(p))
+                run(alg, src, p, alg.start, 400)
+    assert len(formed) > 1000 and max(formed) >= 4
+
+
 def test_intra_component_requests_are_silent():
     p = Params(4, 2, 2, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
@@ -348,13 +489,14 @@ def test_no_qualifying_set_survives_any_step():
 
 
 @st.composite
-def component_streams(draw):
-    """Params, a request source (random, planted, or a drawn list of pairs
-    on few nodes, so that they repeat) and a step count."""
-    k, ell = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+def component_streams(draw, ks=(2, 5), most=120):
+    """Params with k in `ks`, a request source (random, planted, or a drawn
+    list of pairs on few nodes, so that they repeat) and a step count of at
+    most `most`."""
+    k, ell = draw(st.integers(*ks)), draw(st.integers(2, 4))
     n = k * ell
     params = Params(n, k, ell, alpha=draw(st.integers(1, 3)), delta=4)
-    steps = draw(st.integers(1, 120))
+    steps = draw(st.integers(1, most))
     kind = draw(st.sampled_from(("random", "planted", "pairs")))
     seed = draw(st.integers(0, 2 ** 32))
     if kind == "random":
@@ -382,10 +524,9 @@ def _same_state(alg, ref):
                        if d > alg.alpha * len(alg.comp_nodes[c])}
 
 
-@settings(max_examples=150, deadline=None)
-@given(component_streams(), st.data())
-def test_narrowed_searches_match_the_full_reference(case, data):
-    params, src, steps = case
+def _lockstep(params, src, steps):
+    """Run the algorithm and the full-search reference side by side,
+    comparing their moves, state and residual checks after every step."""
     alg = ComponentRepartitioner(params, contiguous_configuration(params))
     ref = ReferenceComponents(params, contiguous_configuration(params))
     config = alg.start
@@ -399,6 +540,14 @@ def test_narrowed_searches_match_the_full_reference(case, data):
         config, _ = apply_moves(config, moves[0] + moves[1], params.alpha)
         _same_state(alg, ref)
         assert alg.residual_merge_set() == ref.residual_merge_set() == ()
+    return alg, ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_streams(), st.data())
+def test_narrowed_searches_match_the_full_reference(case, data):
+    alg, ref = _lockstep(*case)
+    params = case[0]
     # The residual check must not lean on the invariant it checks: raise
     # some pair weights to alpha or more and compare it there too.
     comps = sorted(alg.comp_nodes)
@@ -409,6 +558,14 @@ def test_narrowed_searches_match_the_full_reference(case, data):
         key = (min(a, b), max(a, b))
         alg.weights[key] = ref.weights[key] = w
     assert alg.residual_merge_set() == ref.residual_merge_set()
+
+
+@settings(max_examples=100, deadline=None)
+@given(component_streams(ks=(6, 8), most=60))
+def test_density_cut_walk_matches_the_full_reference(case):
+    # from k = 6 up the room after a split request between singletons is
+    # 3 or more, where the step's walk keeps to the ball and cuts by density
+    _lockstep(*case)
 
 
 @st.composite
@@ -514,11 +671,18 @@ def test_one_pass_invariant_check_matches_the_reference(case):
 
 def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     # A guard without timings: on one seeded grid-shaped run under the
-    # per-step checks, dropping a seed-only decision or a fan-in bound
-    # raises one of these counts above what the shortcuts reach.
+    # per-step checks, dropping a seed-only decision, a fan-in bound or the
+    # walk's cuts raises one of these counts above what the shortcuts
+    # reach. The step walks its merge sets and calls no find_merge_set.
     counts = {"find_merge_set": 0, "find_epoch_set": 0, "_subgraph": 0,
-              "core search": 0}
+              "core search": 0, "walk visits": 0}
     checking = []
+    walk = components._connected_merge_set
+
+    def walked(*args):
+        best, visits = walk(*args)
+        counts["walk visits"] += visits
+        return best, visits
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -543,6 +707,7 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
         "_subgraph", ComponentRepartitioner._subgraph))
     monkeypatch.setattr(ComponentRepartitioner, "residual_merge_set",
                         residual)
+    monkeypatch.setattr(components, "_connected_merge_set", walked)
     p = Params(16, 4, 4, alpha=3, delta=4)
     moved = 0
     for src in (PlantedPartition(11, p, 0.9, 0.1, steps=1000),
@@ -556,7 +721,8 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
         tr = run(alg, src, p, alg.start, 1000, observer=check)
         moved += sum(1 for s in tr.steps if s.mig)
     assert moved > 50                    # merges and epoch ends happened
-    assert counts["find_merge_set"] <= 595
+    assert counts["find_merge_set"] == 0
+    assert counts["walk visits"] <= 15058
     assert counts["find_epoch_set"] <= 459
     assert counts["_subgraph"] <= 1054
     assert counts["core search"] <= 96
