@@ -12,6 +12,14 @@ the first ell-1 rows fix it. `PartitionSpace` keeps blocks as bitmasks and
 memoises costs by those rows, so the assignment solver runs once per
 distinct overlap matrix rather than once per pair of states.
 
+Only row 0 of the matrix goes through that memo. A permutation g of the
+nodes maps each state to a state and keeps every overlap matrix, so
+T[g(w)][g(t)] = T[w][t]. The adjacent transpositions (a a+1) generate the
+symmetric group S_n, which acts transitively on the balanced partitions,
+so a breadth-first walk from state 0 along them reaches every state; and
+as each transposition g is its own inverse, the row of g(w) is the row of
+w read in the order of g: T[g(w)][t] = T[w][g(t)].
+
 `WorkFunction` maintains the work function of a metrical task system
 (Borodin, Linial & Saks 1992; Chrobak & Larmore 1992). Its value vector x
 is closed under moves: x[s] <= x[s'] + T[s'][s] for all states s, s'. A
@@ -33,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
-from operator import add, floordiv, or_
+from operator import add, floordiv, itemgetter, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -46,9 +54,9 @@ from .core import (
 )
 
 # The transition matrix has m^2 entries. On a 2-core Xeon, m=1716 (n=14,
-# k=7) builds in 1.4 s and 24 MB, and its neighbour masks (three costs, m
-# masks of m bits each) take 1.3 MB more; the next space, m=5775 (n=12,
-# k=4), takes 14 s and 264 MB.
+# k=7) builds in 0.14-0.18 s and 24 MB, and its neighbour masks (three costs,
+# m masks of m bits each) take 1.3 MB more; the next space, m=5775 (n=12,
+# k=4), builds in 1.4 s but takes about 264 MB, so memory sets the cap.
 PARTITION_CAP = 2000
 
 Partition = Tuple[Tuple[int, ...], ...]
@@ -194,8 +202,32 @@ class PartitionSpace:
         return out
 
     def transitions(self) -> List[List[int]]:
+        """The full matrix: row 0 from the overlap memo, every other row a
+        permuted copy of a row already built; see the module docstring."""
         if self._trans is None:
-            self._trans = [self.row(i) for i in range(len(self))]
+            columns = list(zip(*self._columns))     # state -> its block ids
+            state = {frozenset(ids): s for s, ids in enumerate(columns)}
+            mask_id = {b: i for i, b in enumerate(self._masks)}
+            swaps = []  # (g, getter): g[t] is state t with nodes a, a+1 swapped
+            for a in range(self.params.n - 1):
+                pair = 3 << a   # block i with nodes a, a+1 swapped is moved[i]
+                moved = [i if (b & pair) in (0, pair) else mask_id[b ^ pair]
+                         for i, b in enumerate(self._masks)]
+                g = [state[frozenset(map(moved.__getitem__, ids))]
+                     for ids in columns]
+                # at m = 1 the getter returns a scalar, but then copies no row
+                swaps.append((g, itemgetter(*g)))
+            trans: List[Optional[List[int]]] = [None] * len(self)
+            trans[0] = self.row(0)
+            reached = [0]
+            for w in reached:
+                for g, permuted in swaps:
+                    c = g[w]
+                    if trans[c] is None:
+                        # T[g(w)][t] = T[w][g(t)], as g is its own inverse
+                        trans[c] = list(permuted(trans[w]))
+                        reached.append(c)
+            self._trans = trans
         return self._trans
 
     def near(self) -> Dict[int, List[int]]:
@@ -203,9 +235,10 @@ class PartitionSpace:
         for each distinct nonzero cost d, in increasing order of d."""
         if self._near is None:
             trans, m, alpha = self.transitions(), len(self), self.params.alpha
-            # every entry of the matrix came from the memo, and each cost is
-            # alpha times a migration count below n, so a byte holds the count
-            costs = sorted(set(self._cost_by_overlap.values()) - {0})
+            # every row is a permutation of row 0, so row 0 holds every
+            # distinct cost; each is alpha times a migration count below n,
+            # so a byte holds the count
+            costs = sorted(set(trans[0]) - {0})
             near = {d: [0] * m for d in costs}
             digits = []     # (masks of d, byte -> b"1" if it counts d else b"0")
             for d in costs:

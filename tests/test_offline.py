@@ -2,7 +2,8 @@
 
 The memoised transition matrix, its neighbour masks, the work function's
 bitmask sweep and the pair-counting static optimum are checked against the
-pairwise and full-scan references in oracles.py.
+pairwise and full-scan references in oracles.py, and the matrix built by
+relabeling nodes against its rows built one at a time from overlaps.
 """
 
 import itertools
@@ -22,7 +23,9 @@ from oracles import (
 )
 from repart.core import Params, Request, TooLarge, contiguous_configuration, \
     min_migration_cost, new_configuration, serve_cost
+from repart import offline
 from repart.offline import (
+    PARTITION_CAP,
     MalformedProfile,
     PartitionSpace,
     WorkFunction,
@@ -299,6 +302,60 @@ def test_state_masks_match_a_scan_of_the_matrix(alpha):
         for u, v in itertools.combinations(range(n), 2):
             assert space.split_mask(v, u) == \
                 sum(1 << s for s in space.sides(u, v)[1]), (n, k, ell, u, v)
+
+
+# every shape under the state cap with more than 280 states (for n above 16
+# each space holds one state or is above the cap)
+LARGE_SHAPES = [(n, k, n // k) for n in range(2, 17) for k in range(1, n + 1)
+                if n % k == 0
+                and 280 < partition_count(n, k, n // k) <= PARTITION_CAP]
+
+
+@pytest.mark.parametrize("alpha", (1, 300))
+def test_relabeled_matrix_matches_the_per_row_build(alpha):
+    # rows taken through `row` before the matrix exists come from the
+    # overlap memo; `transitions` builds all but row 0 by relabeling nodes.
+    # The one-state shapes ell = 1 and k = 1 copy no row.
+    assert LARGE_SHAPES == [(10, 2, 5), (12, 6, 2), (14, 7, 2)]
+    rng = random.Random(1716)
+    for n, k, ell in LARGE_SHAPES + [(4, 4, 1), (4, 1, 4)]:
+        space = PartitionSpace(Params(n, k, ell, alpha=alpha))
+        m = len(space)
+        states = range(m) if m < 1716 else \
+            sorted({1, m - 1} | set(rng.sample(range(2, m - 1), 40)))
+        per_row = [space.row(i) for i in states]
+        assert space._trans is None
+        trans = space.transitions()
+        assert len(trans) == m
+        assert [trans[i] for i in states] == per_row, (n, k, ell)
+
+
+def test_cold_matrix_solves_row_0_only(monkeypatch):
+    # A guard without timings: a cold matrix takes row 0, and only row 0,
+    # through the overlap memo, and solves each distinct key of that row
+    # once. Building every row from overlaps took 84, 34, 1060 and 7 solves.
+    rows, solves = [], []
+    row, solve = PartitionSpace.row, offline.min_migration_cost
+
+    def counted_row(space, i):
+        rows.append(i)
+        return row(space, i)
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(PartitionSpace, "row", counted_row)
+    monkeypatch.setattr(offline, "min_migration_cost", counted_solve)
+    for shape, want in (((8, 2, 4), 26), ((9, 3, 3), 22), ((10, 2, 5), 146),
+                        ((14, 7, 2), 7)):
+        rows.clear()
+        solves.clear()
+        space = PartitionSpace(Params(*shape, alpha=2))
+        space.transitions()
+        space.near()
+        assert rows == [0], shape
+        assert len(solves) == len(space._cost_by_overlap) == want, shape
 
 
 def test_work_function_value_is_the_optimum_of_each_prefix():
