@@ -2,8 +2,9 @@
 
 Every source exposes ``next(config) -> Request | None``. Adaptive sources
 inspect the online configuration they are handed and answer with the next
-request of their construction; returning None (or raising EndOfStream) tells
-the harness the stream is over. Sources never mutate the configuration.
+request of their construction; returning None tells the harness the stream
+is over, and a finished source keeps returning None. Sources never mutate
+the configuration.
 """
 
 import random
@@ -11,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .core import (Configuration, GeometryError, Params, RepartError, Request,
                    new_configuration)
-from .engine import AdversaryStuck, EndOfStream
+from .engine import AdversaryStuck
 
 
 class ParseError(RepartError):
@@ -28,10 +29,6 @@ class MalformedPagingSequence(RepartError):
 
 class BadProbability(RepartError):
     pass
-
-
-class EndOfPhases(EndOfStream):
-    """The phased lower-bound construction has played all its phases."""
 
 
 # ---------------------------------------------------------------------------
@@ -86,20 +83,20 @@ class GroupPhases:
     0..p. A phase ends the moment the core is collocated (checked before
     emitting). If phase 1 ends cheaply (w_1 < 2*alpha) node 0 is dropped
     from both the request rotation and the end-of-phase checks from then
-    on. After phase k-1 the source raises EndOfPhases.
+    on. Once phase k-1 is played (phase 1 at k = 1) the source returns
+    None.
     """
 
     def __init__(self, params: Params):
         if params.ell != 2:
             raise GeometryError("grouped phases need exactly two clusters")
-        self.k = params.k
         self.alpha = params.alpha
+        self.last_phase = max(params.k - 1, 1)
         self.phase = 1
         self.cursor = 0
         self.w = 0
         self.dropped = False          # node 0 removed after a cheap phase 1
         self.profile: List[int] = []
-        self.ended = False
 
     def _core(self) -> List[int]:
         lo = 1 if self.dropped else 0
@@ -110,27 +107,22 @@ class GroupPhases:
         return list(range(self.phase - 1, lo - 1, -1))
 
     def next(self, config: Configuration) -> Optional[Request]:
-        if self.ended:
-            raise EndOfPhases
-        while True:
+        while self.phase <= self.last_phase:
             core = self._core()
             home = config.cluster_of(core[0])
             if any(config.cluster_of(x) != home for x in core):
-                break
+                partners = self._partners()
+                partner = partners[self.cursor % len(partners)]
+                self.cursor += 1
+                self.w += 1
+                return Request(partner, self.phase)
             self.profile.append(self.w)
             if self.phase == 1 and self.w < 2 * self.alpha:
                 self.dropped = True
             self.phase += 1
             self.cursor = 0
             self.w = 0
-            if self.phase > self.k - 1:
-                self.ended = True
-                raise EndOfPhases
-        partners = self._partners()
-        partner = partners[self.cursor % len(partners)]
-        self.cursor += 1
-        self.w += 1
-        return Request(partner, self.phase)
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import io
 import json
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import adversaries, engine, offline
@@ -36,7 +35,7 @@ class RunSpec:
     k: int
     l: int
     alpha: int = 1
-    delta: int = 1
+    delta: Optional[int] = None     # None: the algorithm's own default
     lam: int = DEFAULT_LAM
     seed: int = 0
     steps: int = 200
@@ -55,16 +54,23 @@ class RunSpec:
             raise ValueError("oracle must be dp, static, or none")
         if self.alg == "greedy" and self.k != 2:
             raise ValueError("greedy needs clusters of size 2")
-        if self.alg == "components" and self.delta < 4:
+        if self.alg == "components" and self.augmentation() < 4:
             raise ValueError("components needs delta >= 4")
         if self.source == "group_phases" and self.l != 2:
             raise ValueError("group_phases needs exactly two clusters")
         if self.source in ("paging", "trace") and not self.trace:
             raise ValueError("source %r needs --trace" % self.source)
-        Params(self.n, self.k, self.l, self.alpha, self.delta)
+        self.params()
+
+    def augmentation(self) -> int:
+        """delta as set, or else the algorithm's default: the component
+        algorithm needs delta >= 4, the others run unaugmented."""
+        if self.delta is not None:
+            return self.delta
+        return 4 if self.alg == "components" else 1
 
     def params(self) -> Params:
-        return Params(self.n, self.k, self.l, self.alpha, self.delta)
+        return Params(self.n, self.k, self.l, self.alpha, self.augmentation())
 
 
 def initial_for(spec: RunSpec) -> Configuration:
@@ -125,23 +131,27 @@ Spaces = Dict[Tuple[int, int, int, int], offline.PartitionSpace]
 
 def _offline_cost(spec: RunSpec, transcript: engine.Transcript,
                   spaces: Spaces) -> Optional[int]:
-    """The offline optimum of the run's requests. `spaces` holds the
+    """The offline optimum of the run's requests, or None without an
+    oracle or when the state space is too large. `spaces` holds the
     partition space of the last (n, k, l, alpha) seen, shared by the
     consecutive runs of a command that have that shape."""
     if spec.oracle == "none":
         return None
     shape = (spec.n, spec.k, spec.l, spec.alpha)
-    if shape not in spaces:
-        spaces.clear()  # one m^2 transition matrix alive at a time
-        spaces[shape] = offline.PartitionSpace(spec.params())
-    if spec.oracle == "static":
-        return offline.static_optimal(transcript.requests(), spec.params(),
-                                      initial_for(spec), spaces[shape])[0]
-    # the total only: no per-request vectors are kept
-    work = offline.WorkFunction(spec.params(), initial_for(spec), spaces[shape])
-    for req in transcript.requests():
-        work.push(req)
-    return work.value
+    try:
+        if shape not in spaces:
+            spaces.clear()  # one m^2 transition matrix alive at a time
+            spaces[shape] = offline.PartitionSpace(spec.params())
+        args = (spec.params(), initial_for(spec), spaces[shape])
+        if spec.oracle == "static":
+            return offline.static_optimal(transcript.requests(), *args)[0]
+        # the total only: no per-request vectors are kept
+        work = offline.WorkFunction(*args)
+        for req in transcript.requests():
+            work.push(req)
+        return work.value
+    except TooLarge:
+        return None
 
 
 def cmd_run(spec: RunSpec, spaces: Optional[Spaces] = None) -> dict:
@@ -150,7 +160,7 @@ def cmd_run(spec: RunSpec, spaces: Optional[Spaces] = None) -> dict:
     report = {
         "alg": spec.alg, "source": spec.source,
         "n": spec.n, "k": spec.k, "l": spec.l,
-        "alpha": spec.alpha, "delta": spec.delta, "lambda": spec.lam,
+        "alpha": spec.alpha, "delta": spec.augmentation(), "lambda": spec.lam,
         "seed": spec.seed, "steps_requested": spec.steps,
         "steps_served": len(transcript.steps),
         "on_comm": ledger.comm_total, "on_mig": ledger.mig_total,
@@ -159,20 +169,13 @@ def cmd_run(spec: RunSpec, spaces: Optional[Spaces] = None) -> dict:
         "off_total": None, "ratio": None, "ratio_decimal": None,
         "steps_path": None,
     }
-    if spec.oracle != "none":
-        try:
-            off = _offline_cost(spec, transcript,
-                                {} if spaces is None else spaces)
-        except TooLarge:
-            off = None
-        if off is not None:
-            report["off_total"] = off
-            r = engine.ratio(ledger.total, off)
-            report["ratio"] = engine.format_ratio(r)
-            if isinstance(r, Fraction):
-                report["ratio_decimal"] = float(r)
-            elif r is engine.INFINITE:
-                report["ratio_decimal"] = float("inf")
+    off = _offline_cost(spec, transcript, {} if spaces is None else spaces)
+    if off is not None:
+        report["off_total"] = off
+        r = engine.ratio(ledger.total, off)
+        report["ratio"] = engine.format_ratio(r)
+        if r is not engine.UNDEFINED:
+            report["ratio_decimal"] = float(r)
     if hasattr(src, "profile"):
         report["profile"] = list(src.profile)
         if spec.source == "pair_chase" and src.profile:
@@ -262,16 +265,11 @@ def cmd_sweep(base: RunSpec, ks: List[int], ls: List[int],
         spec = replace(base, n=k * l, k=k, l=l, alpha=a, seed=seed, out=None)
         try:
             spec.validate()
-            transcript, _, _ = execute(spec)
-            row["on_cost"] = transcript.ledger.total
-            try:
-                off = _offline_cost(spec, transcript, spaces)
-            except TooLarge:
-                off = None
-            if off is not None:
-                row["off_cost"] = off
-                row["ratio"] = engine.format_ratio(
-                    engine.ratio(transcript.ledger.total, off))
+            report = cmd_run(spec, spaces)
+            row["on_cost"] = report["on_total"]
+            if report["off_total"] is not None:
+                row["off_cost"] = report["off_total"]
+                row["ratio"] = report["ratio"]
         except Exception as exc:
             row["error"] = "%s: %s" % (type(exc).__name__, exc)
         writer.writerow([row[f] for f in SWEEP_FIELDS])
@@ -283,8 +281,7 @@ def cmd_compare(spec: RunSpec, algs: List[str]) -> dict:
     runs = {}
     spaces: Spaces = {}
     for alg in algs:
-        cell = replace(spec, alg=alg, out=None,
-                       delta=4 if alg == "components" else spec.delta)
+        cell = replace(spec, alg=alg, out=None)
         cell.validate()
         report = cmd_run(cell, spaces)
         runs[alg] = {key: report[key] for key in
@@ -313,7 +310,7 @@ def _read_config(path: str) -> dict:
 
 
 # RunSpec's annotations are strings under `from __future__ import annotations`
-_PARSE = {"int": int, "float": float}
+_PARSE = {"int": int, "Optional[int]": int, "float": float}
 
 
 def build_spec(args: argparse.Namespace) -> RunSpec:
@@ -334,8 +331,6 @@ def build_spec(args: argparse.Namespace) -> RunSpec:
     for f in settings:
         if f.default is MISSING and f.name not in merged:
             raise ValueError("missing required setting %r" % f.name)
-    if "delta" not in merged:
-        merged["delta"] = 4 if merged["alg"] == "components" else 1
     spec = RunSpec(**merged)
     spec.validate()
     return spec

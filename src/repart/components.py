@@ -514,9 +514,6 @@ class ComponentRepartitioner:
         occ, res = self.occupancy(), self.reserved_space()
         return [self.capacity - occ[s] - res[s] for s in range(self.clusters)]
 
-    def sizes(self) -> Dict[int, int]:
-        return {cid: len(nodes) for cid, nodes in self.comp_nodes.items()}
-
     def _index(self):
         """Rebuild nbrs, deg and hot from the weights."""
         self.nbrs = _adjacency(self.weights, self.comp_nodes)

@@ -371,11 +371,6 @@ class PairCounts:
             if not mates:
                 del self.nbrs[w]
 
-    def as_dict(self) -> Dict[Tuple[int, int], int]:
-        """{(x, y): count} with x < y."""
-        return {(x, y): count for x, mates in self.nbrs.items()
-                for y, count in mates.items() if x < y}
-
 
 @dataclass
 class CostLedger:

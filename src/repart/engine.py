@@ -2,6 +2,7 @@
 
 Each step: the source emits a request (seeing the current online
 configuration), the algorithm returns moves, and costs land in a ledger.
+A source ends the stream by returning None instead of a request.
 Moves come in two batches: pre-serve moves take effect before the request
 is charged, post-serve moves after. Component-based repartitioning uses
 the pre slot; the greedy rematcher swaps only after the triggering request
@@ -38,10 +39,6 @@ INFINITE = float("inf")
 UNDEFINED = None
 
 Move = Tuple[int, int]
-
-
-class EndOfStream(Exception):
-    """A source declaring its stream finished; the harness stops cleanly."""
 
 
 class AdversaryStuck(RepartError):
@@ -125,10 +122,7 @@ def run(alg: OnlineAlgorithm, src: RequestSource, params: Params,
     config = initial
     transcript = Transcript(params=params, initial=initial)
     for t in range(1, max_steps + 1):
-        try:
-            req = src.next(config)
-        except EndOfStream:
-            break
+        req = src.next(config)
         if req is None:
             break
         req = Request(req.u, req.v, t)
@@ -170,7 +164,7 @@ class NullAlgorithm:
 
 class NaiveCollocator:
     """Unaugmented baseline: collocate a pair once it was requested
-    `threshold` times while split.
+    2 * alpha times while split.
 
     The higher-id endpoint migrates into the other endpoint's cluster and
     swaps with the least recently requested node there (never-requested
@@ -178,9 +172,8 @@ class NaiveCollocator:
     request is served. Pair counters touching the two swapped nodes reset.
     """
 
-    def __init__(self, params: Params, threshold: Optional[int] = None):
+    def __init__(self, params: Params):
         self.params = params
-        self.threshold = 2 * params.alpha if threshold is None else threshold
         self.pairs = PairCounts()
         self.last_requested = {}  # node -> last step it appeared in a request
 
@@ -190,7 +183,7 @@ class NaiveCollocator:
         self.last_requested[v] = request.t
         if config.cluster_of(u) == config.cluster_of(v):
             return [], []
-        if self.pairs.add(u, v) < self.threshold:
+        if self.pairs.add(u, v) < 2 * self.params.alpha:
             return [], []
         mover, stay = (u, v) if u > v else (v, u)
         target = config.cluster_of(stay)

@@ -12,7 +12,7 @@ node, so the choice and the reset read only the pairs of those nodes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .core import Configuration, GeometryError, PairCounts, Params, Request
 
@@ -31,10 +31,6 @@ class GreedyMatcher:
         self.lam = lam
         self.out_counts: Dict[int, int] = {}
         self.pairs = PairCounts()
-
-    @property
-    def pair_counts(self) -> Dict[Tuple[int, int], int]:
-        return self.pairs.as_dict()
 
     def _partner(self, config: Configuration, c1: int, members: List[int]) -> int:
         """The cluster c != c1 with the most pair traffic to c1, ties to the

@@ -9,8 +9,9 @@ distance zero.
 The cost between two partitions depends only on their overlap matrix
 (|A_r & B_c|) over blocks A_r and B_c, and as every block holds k nodes
 the first ell-1 rows fix it. `PartitionSpace` keeps blocks as bitmasks and
-memoises costs by those rows, so the assignment solver runs once per
-distinct overlap matrix rather than once per pair of states.
+memoises costs by those rows with the columns sorted, so the assignment
+solver runs once per overlap matrix up to the order of its columns rather
+than once per pair of states.
 
 Only row 0 of the matrix goes through that memo. A permutation g of the
 nodes maps each state to a state and keeps every overlap matrix, so
@@ -60,6 +61,8 @@ from .core import (
 PARTITION_CAP = 2000
 
 Partition = Tuple[Tuple[int, ...], ...]
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class MalformedProfile(RepartError):
@@ -135,8 +138,7 @@ class PartitionSpace:
         self._columns = list(zip(*[[block_ids[b] for b in p]
                                    for p in self.partitions]))
         self._cost_by_overlap: Dict[Tuple[int, ...], int] = {}
-        self._sides: Dict[Tuple[int, int], Tuple[List[int], List[int], List[int]]] = {}
-        self._split_masks: Dict[Tuple[int, int], int] = {}
+        self._sides: Dict[Tuple[int, int], Tuple[List[int], List[int], int]] = {}
         self._trans: Optional[List[List[int]]] = None
         self._near: Optional[Dict[int, List[int]]] = None
 
@@ -149,27 +151,19 @@ class PartitionSpace:
             raise TooLarge("configuration is not a balanced ell x k placement")
         return self.index[p]
 
-    def sides(self, u: int, v: int) -> Tuple[List[int], List[int], List[int]]:
-        """The serve cost of {u, v} in every state, the states that split
-        u and v, and the states that collocate them."""
+    def sides(self, u: int, v: int) -> Tuple[List[int], List[int], int]:
+        """The serve cost of {u, v} in every state, the states that
+        collocate u and v, and the states that split them as a bitmask,
+        state s as bit s."""
         pair = (u, v) if u < v else (v, u)
         out = self._sides.get(pair)
         if out is None:
             serve = [1 if b[u] != b[v] else 0 for b in self._block_of]
+            # the serve costs, last state first, read as binary digits
+            digits = bytes(reversed(serve)).translate(_DIGITS)
             out = self._sides[pair] = (
-                serve, [s for s, e in enumerate(serve) if e],
-                [s for s, e in enumerate(serve) if not e])
-        return out
-
-    def split_mask(self, u: int, v: int) -> int:
-        """The states that split u and v as a bitmask, state s as bit s."""
-        pair = (u, v) if u < v else (v, u)
-        out = self._split_masks.get(pair)
-        if out is None:
-            # the serve costs read as binary digits
-            digits = bytes(reversed(self.sides(u, v)[0]))
-            out = self._split_masks[pair] = int(
-                digits.translate(bytes.maketrans(b"\0\1", b"01")), 2)
+                serve, [s for s, e in enumerate(serve) if not e],
+                int(digits, 2))
         return out
 
     def row(self, i: int) -> List[int]:
@@ -177,7 +171,8 @@ class PartitionSpace:
         if self._trans is not None:
             return self._trans[i]
         # code(B) packs the overlaps |A_r & B| with i's blocks A_r, r < ell-1,
-        # into fields `width` bits wide; a state's key is its blocks' codes
+        # into fields `width` bits wide; a state's key is its blocks' codes,
+        # sorted, as relabeling the target's blocks keeps the cost
         width = self.params.k.bit_length()
         masks = self._masks
         codes = [0] * len(masks)
@@ -185,7 +180,8 @@ class PartitionSpace:
             a, shift = masks[col[i]], width * r
             codes = [c | (a & b).bit_count() << shift for c, b in zip(codes, masks)]
         code = codes.__getitem__
-        keys = list(zip(*[map(code, col) for col in self._columns]))
+        keys = list(map(tuple, map(sorted, zip(*[map(code, col)
+                                                 for col in self._columns]))))
         memo = self._cost_by_overlap
         out = list(map(memo.get, keys))
         if None in out:
@@ -289,8 +285,7 @@ class WorkFunction:
 
     def push(self, req: Request) -> List[int]:
         """Serve req and return the unclosed vector x + e."""
-        serve, _, together = self.space.sides(req.u, req.v)
-        split = self.space.split_mask(req.u, req.v)
+        serve, together, split = self.space.sides(req.u, req.v)
         x, level = self.x, self.level
         # the collocating states by value, the witnesses
         groups: Dict[int, List[int]] = {}
@@ -359,10 +354,11 @@ def static_optimal(requests: Sequence[Request], params: Params,
     for r in requests:
         pair = (r.u, r.v) if r.u < r.v else (r.v, r.u)
         counts[pair] = counts.get(pair, 0) + 1
-    cost = list(space.row(start))
+    # every request is paid for, except in the states that collocate it
+    cost = [c + len(requests) for c in space.row(start)]
     for (u, v), count in counts.items():
         for s in space.sides(u, v)[1]:
-            cost[s] += count
+            cost[s] -= count
     best = min(cost)
     return best, space.partitions[cost.index(best)]
 

@@ -7,8 +7,9 @@ runs the algorithm's searches over every component instead of the narrowed
 candidates, and checks its invariants with one loop per table. The placement and pair-counter references rebuild or scan
 everything on every call, and the offline references scan every pair of
 states on every request; the migration-distance reference tries every
-relabeling of the clusters. The ring rotations at the end are a
-construction only the adversary tests use.
+relabeling of the clusters. `component_sizes` and `pair_counts` read an
+algorithm's state in the shape the tests compare. The ring rotations at
+the end are a construction only the adversary tests use.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from repart.components import (
 from repart.core import (
     Configuration,
     GeometryError,
+    PairCounts,
     Params,
     Request,
     TooLarge,
@@ -31,6 +33,17 @@ from repart.core import (
     min_migration_cost,
 )
 from repart.offline import Partition, PartitionSpace, _configuration_of_partition
+
+
+def component_sizes(alg: ComponentRepartitioner):
+    """{component id: member count} of a component algorithm's state."""
+    return {cid: len(nodes) for cid, nodes in alg.comp_nodes.items()}
+
+
+def pair_counts(pairs: PairCounts):
+    """The node-indexed counters as {(x, y): count} with x < y."""
+    return {(x, y): count for x, mates in pairs.nbrs.items()
+            for y, count in mates.items() if x < y}
 
 
 def internal_weight(subset, weights):
@@ -164,12 +177,13 @@ class ReferenceComponents(ComponentRepartitioner):
             key = (min(cu, cv), max(cu, cv))
             self.weights[key] = self.weights.get(key, 0) + 1
             merge_set = find_merge_set(
-                self.sizes(), self.weights, self.k, self.alpha, seed=(cu, cv))
+                component_sizes(self), self.weights, self.k, self.alpha,
+                seed=(cu, cv))
             if len(merge_set) > 1:
                 moves += self._merge(merge_set)
             seeds = {self.comp_of[u], self.comp_of[v]}
             epoch_set = find_epoch_set(
-                self.sizes(), self.weights, self.k, self.alpha,
+                component_sizes(self), self.weights, self.k, self.alpha,
                 seed=tuple(seeds))
             if epoch_set:
                 moves += self._end_epoch(epoch_set)
@@ -181,14 +195,14 @@ class ReferenceComponents(ComponentRepartitioner):
         return moves, []
 
     def residual_merge_set(self):
-        sizes = self.sizes()
+        sizes = component_sizes(self)
         live = {c: s for c, s in sizes.items()
                 if any(w > 0 and c in key for key, w in self.weights.items())}
         return find_merge_set(live, self.weights, self.k, self.alpha)
 
     def check_invariants(self, config: Optional[Configuration] = None) -> List[str]:
         errs = list(self.violations)
-        sizes = self.sizes()
+        sizes = component_sizes(self)
         seen: Set[int] = set()
         for cid, nodes in self.comp_nodes.items():
             for node in nodes:

@@ -8,7 +8,6 @@ import pytest
 from oracles import order_preserving_partition
 from repart.adversaries import (
     BadProbability,
-    EndOfPhases,
     GroupPhases,
     MalformedPagingSequence,
     NodeOutOfRange,
@@ -24,7 +23,8 @@ from repart.adversaries import (
     parse_trace,
 )
 from repart.components import ComponentRepartitioner
-from repart.core import GeometryError, Params, Request, contiguous_configuration
+from repart.core import (GeometryError, Params, Request,
+                         contiguous_configuration, new_configuration)
 from repart.engine import AdversaryStuck, NaiveCollocator, NullAlgorithm, run
 from repart.greedy import GreedyMatcher
 
@@ -110,9 +110,23 @@ def test_group_phases_against_threshold_collocator():
         [(0, 1), (0, 1), (1, 2), (0, 2), (1, 2)]
     assert src.profile == [2, 3]
     assert tr.ledger.total == 9
-    # k - 1 phases exhausted, then the stream signals the end
-    with pytest.raises(EndOfPhases):
-        src.next(tr.snapshots[-1][1])
+    # k - 1 phases exhausted: the stream ends, and stays ended
+    assert src.next(tr.snapshots[-1][1]) is None
+    assert src.next(group_phases_initial(p)) is None
+
+
+def test_group_phases_at_k_1_plays_phase_1_only():
+    p = Params(2, 1, 2)
+    # nodes 0 and 1 can never share a one-node cluster, so phase 1 runs on
+    tr = run(NullAlgorithm(), GroupPhases(p), p, group_phases_initial(p), 20)
+    assert [(s.u, s.v) for s in tr.steps] == [(0, 1)] * 20
+    # once they do share a (wider) cluster, phase 1 is over and so is the
+    # stream
+    src = GroupPhases(p)
+    together = new_configuration([0, 0], 2, 2)
+    assert src.next(together) is None
+    assert src.next(group_phases_initial(p)) is None
+    assert src.profile == [0]
 
 
 def test_group_phases_drops_node_zero_after_a_cheap_phase():

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -41,9 +42,15 @@ def test_defaults_depend_on_algorithm(tmp_path):
         steps = oracle = trace = out = p_in = p_out = lam = None
 
     spec = cli.build_spec(Args())
-    assert spec.delta == 4                 # components defaults to augmented
+    assert spec.delta is None              # left to the algorithm
+    assert spec.params().delta == 4        # components defaults to augmented
     cfg.write_text("alg=greedy\nsource=random\nn=4\nk=2\nl=2\n")
-    assert cli.build_spec(Args()).delta == 1
+    assert cli.build_spec(Args()).params().delta == 1
+    cfg.write_text("alg=components\nsource=random\nn=4\nk=2\nl=2\ndelta=5\n")
+    spec = cli.build_spec(Args())
+    assert spec.delta == 5 and spec.params().delta == 5
+    assert cli.cmd_run(replace(spec, steps=3))["delta"] == 5
+    assert cli.cmd_run(replace(spec, delta=None, steps=3))["delta"] == 4
 
 
 def test_validation_rejects_bad_combinations():
@@ -212,6 +219,67 @@ def test_sweep_and_compare_build_one_space_per_shape(monkeypatch):
         alone = cli.cmd_compare(_spec(steps=40, seed=2), [alg])
         assert alone["runs"][alg] == report["runs"][alg]
     assert all(run["off_total"] is not None for run in report["runs"].values())
+
+
+def test_sweep_and_compare_output_is_frozen():
+    # byte for byte: a priced cell, a TooLarge cell with no optimum, and
+    # ValueError cells, then a compare of three algorithms
+    base = _spec(n=4, l=2, steps=12)
+    assert cli.cmd_sweep(base, [2, 3], [2, 8], [1, 2], [0]) == (
+        "alg,source,n,k,l,alpha,seed,on_cost,off_cost,ratio,error\r\n"
+        "greedy,random,4,2,2,1,0,15,7,15/7,\r\n"
+        "greedy,random,4,2,2,2,0,10,8,5/4,\r\n"
+        "greedy,random,16,2,8,1,0,19,,,\r\n"
+        "greedy,random,16,2,8,2,0,20,,,\r\n"
+        "greedy,random,6,3,2,1,0,,,,ValueError: greedy needs clusters of size 2\r\n"
+        "greedy,random,6,3,2,2,0,,,,ValueError: greedy needs clusters of size 2\r\n"
+        "greedy,random,24,3,8,1,0,,,,ValueError: greedy needs clusters of size 2\r\n"
+        "greedy,random,24,3,8,2,0,,,,ValueError: greedy needs clusters of size 2\r\n")
+    report = cli.cmd_compare(_spec(n=6, l=3, steps=30, seed=4),
+                             ["greedy", "components", "naive"])
+    assert json.dumps(report, sort_keys=True) == (
+        '{"alpha": 1, "k": 2, "l": 3, "n": 6, "runs": {"components": '
+        '{"off_total": 22, "on_comm": 17, "on_mig": 9, "on_total": 26, '
+        '"ratio": "13/11"}, "greedy": {"off_total": 22, "on_comm": 22, '
+        '"on_mig": 16, "on_total": 38, "ratio": "19/11"}, "naive": '
+        '{"off_total": 22, "on_comm": 28, "on_mig": 14, "on_total": 42, '
+        '"ratio": "21/11"}}, "seed": 4, "source": "random", "steps": 30}')
+
+
+_COMPARE = ["--source", "random", "--n", "8", "--k", "2", "--l", "4"]
+
+
+def test_compare_gives_each_algorithm_its_own_delta(capsys):
+    # components runs augmented and greedy unaugmented, whichever comes first
+    assert cli.main(["compare", "--alg", "components,greedy"] + _COMPARE) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert cli.main(["compare", "--alg", "greedy,components"] + _COMPARE) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert first["runs"] == second["runs"]
+    assert set(first["runs"]) == {"components", "greedy"}
+
+
+def test_an_explicit_delta_reaches_every_compare_cell(capsys, monkeypatch):
+    assert cli.main(["compare", "--delta", "1", "--alg", "greedy,components"]
+                    + _COMPARE) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: components needs delta >= 4\n"
+    seen = []
+    cmd_run = cli.cmd_run
+
+    def record(spec, spaces=None):
+        seen.append((spec.alg, spec.params().delta))
+        return cmd_run(spec, spaces)
+
+    monkeypatch.setattr(cli, "cmd_run", record)
+    assert cli.main(["compare", "--delta", "5", "--alg", "components,naive,null",
+                     "--steps", "20"] + _COMPARE) == 0
+    assert seen == [("components", 5), ("naive", 5), ("null", 5)]
+    seen.clear()
+    assert cli.main(["compare", "--alg", "naive,components", "--steps", "20"]
+                    + _COMPARE) == 0
+    assert seen == [("naive", 1), ("components", 4)]
 
 
 def test_sweep_via_main_writes_csv(tmp_path):

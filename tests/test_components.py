@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     ReferenceComponents,
+    component_sizes,
     dense_component_graph,
     internal_weight,
     naive_connected_merge_set,
@@ -479,7 +480,7 @@ def test_no_qualifying_set_survives_any_step():
         alg = ComponentRepartitioner(p, contiguous_configuration(p))
 
         def check(t, config, req, comm, mig, alg=alg, k=k, alpha=alpha):
-            sizes = alg.sizes()
+            sizes = component_sizes(alg)
             assert find_merge_set(sizes, alg.weights, k, alpha) == ()
             assert find_epoch_set(sizes, alg.weights, k, alpha) == ()
             assert alg.residual_merge_set() == ()

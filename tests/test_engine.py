@@ -8,7 +8,6 @@ from repart.engine import (
     INFINITE,
     UNDEFINED,
     AdversaryStuck,
-    EndOfStream,
     NaiveCollocator,
     NullAlgorithm,
     Transcript,
@@ -19,15 +18,12 @@ from repart.engine import (
 
 
 class ScriptedSource:
-    def __init__(self, pairs, stop=None):
+    def __init__(self, pairs):
         self.pairs = list(pairs)
         self.cursor = 0
-        self.stop = stop  # None | "none" | "raise"
 
     def next(self, config):
         if self.cursor >= len(self.pairs):
-            if self.stop == "raise":
-                raise EndOfStream
             return None
         u, v = self.pairs[self.cursor]
         self.cursor += 1
@@ -69,10 +65,9 @@ def test_pre_moves_apply_before_the_serve():
 
 def test_run_stop_conditions():
     p = Params(4, 2, 2)
-    for stop in ("none", "raise"):
-        src = ScriptedSource([(0, 2), (1, 3)], stop=stop)
-        tr = run(NullAlgorithm(), src, p, contiguous_configuration(p), 50)
-        assert len(tr.steps) == 2
+    src = ScriptedSource([(0, 2), (1, 3)])
+    tr = run(NullAlgorithm(), src, p, contiguous_configuration(p), 50)
+    assert len(tr.steps) == 2
     tr = run(NullAlgorithm(), ScriptedSource([(0, 2)] * 9), p,
              contiguous_configuration(p), 4)
     assert len(tr.steps) == 4  # max_steps cap

@@ -300,8 +300,12 @@ def test_state_masks_match_a_scan_of_the_matrix(alpha):
                                for row in trans], (n, k, ell, d)
         assert space.near() is near
         for u, v in itertools.combinations(range(n), 2):
-            assert space.split_mask(v, u) == \
-                sum(1 << s for s in space.sides(u, v)[1]), (n, k, ell, u, v)
+            serve, together, split = space.sides(v, u)
+            assert split == sum(1 << s for s, e in enumerate(serve) if e), \
+                (n, k, ell, u, v)
+            assert together == [s for s, e in enumerate(serve) if not e]
+            assert serve == [0 if any(u in b and v in b for b in part) else 1
+                             for part in space.partitions]
 
 
 # every shape under the state cap with more than 280 states (for n above 16
@@ -333,7 +337,9 @@ def test_relabeled_matrix_matches_the_per_row_build(alpha):
 def test_cold_matrix_solves_row_0_only(monkeypatch):
     # A guard without timings: a cold matrix takes row 0, and only row 0,
     # through the overlap memo, and solves each distinct key of that row
-    # once. Building every row from overlaps took 84, 34, 1060 and 7 solves.
+    # once, a key being the overlap matrix up to the order of its columns.
+    # Building every row from overlaps took 84, 34, 1060 and 7 solves, and
+    # row 0 alone 26, 22, 146 and 7 with the columns in the target's order.
     rows, solves = [], []
     row, solve = PartitionSpace.row, offline.min_migration_cost
 
@@ -347,8 +353,8 @@ def test_cold_matrix_solves_row_0_only(monkeypatch):
 
     monkeypatch.setattr(PartitionSpace, "row", counted_row)
     monkeypatch.setattr(offline, "min_migration_cost", counted_solve)
-    for shape, want in (((8, 2, 4), 26), ((9, 3, 3), 22), ((10, 2, 5), 146),
-                        ((14, 7, 2), 7)):
+    for shape, want in (((8, 2, 4), 17), ((9, 3, 3), 10), ((10, 2, 5), 73),
+                        ((14, 7, 2), 4)):
         rows.clear()
         solves.clear()
         space = PartitionSpace(Params(*shape, alpha=2))
