@@ -183,7 +183,8 @@ class NaiveCollocator:
         self.last_requested[v] = request.t
         if config.cluster_of(u) == config.cluster_of(v):
             return [], []
-        if self.pairs.add(u, v) < 2 * self.params.alpha:
+        # at k = 1 no cluster holds a pair, so there is nothing to collocate
+        if self.pairs.add(u, v) < 2 * self.params.alpha or self.params.k == 1:
             return [], []
         mover, stay = (u, v) if u > v else (v, u)
         target = config.cluster_of(stay)

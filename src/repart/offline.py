@@ -27,14 +27,23 @@ is closed under moves: x[s] <= x[s'] + T[s'][s] for all states s, s'. A
 request adds e[s] = 1 to each state s that splits its endpoints, and since
 T is a metric (zero diagonal, triangle inequality) the next closed vector
 is x + e, except that a state with e[s] = 1 keeps x[s] when some state s'
-with e[s'] = 0 reaches it tightly, x[s'] + T[s'][s] = x[s]. The witnesses
-are found by set algebra on bitmasks of states: `level[v]` holds the states
-with x[s] = v, and `PartitionSpace.near()[d][w]` the states at cost d from
-w. For each value v of a collocating state and each cost d, the split
-states of `level[v + d]` that some collocating w of value v has in
-`near[d][w]` keep their value; the rest of the split states rise by one.
-`optimal_cost` records each x + e before its closure and rebuilds the
-schedule afterwards along its own path, with the lowest-index ties.
+with e[s'] = 0 reaches it tightly, x[s'] + T[s'][s] = x[s]. No vector is
+stored: `level[v]` is the bitmask of the states with x[s] = v, in
+ascending order of v, and `PartitionSpace.near()[d][w]` the states at cost
+d from w. For each level v, its collocating states are the witnesses, and
+for each cost d up to the top level the split states of `level[v + d]`
+that some witness w has in `near[d][w]` keep their value; the rest of the
+split states move up one level. The witnesses' bits are read out only
+when some level v + d holds a split state not yet kept.
+
+`optimal_cost` keeps each request's levels before the push and its split
+mask; the served vector x + e holds level v's collocating states at v and
+its split states at v + 1. It rebuilds the schedule backwards: the state
+before `cur` is the lowest state s minimising (x + e)[s] + T[s][cur]. So
+for each served value y and cost d it intersects the states served at y
+with near[d][cur], d = 0 standing for `cur` itself, and takes the lowest
+bit of the union of the hits with the least y + d. The levels ascend, so
+the scan stops at the first level above the least y + d found so far.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
-from operator import add, floordiv, itemgetter, or_
+from operator import floordiv, itemgetter, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -61,8 +70,6 @@ from .core import (
 PARTITION_CAP = 2000
 
 Partition = Tuple[Tuple[int, ...], ...]
-
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class MalformedProfile(RepartError):
@@ -138,7 +145,7 @@ class PartitionSpace:
         self._columns = list(zip(*[[block_ids[b] for b in p]
                                    for p in self.partitions]))
         self._cost_by_overlap: Dict[Tuple[int, ...], int] = {}
-        self._sides: Dict[Tuple[int, int], Tuple[List[int], List[int], int]] = {}
+        self._sides: Dict[Tuple[int, int], Tuple[List[int], int]] = {}
         self._trans: Optional[List[List[int]]] = None
         self._near: Optional[Dict[int, List[int]]] = None
 
@@ -151,19 +158,16 @@ class PartitionSpace:
             raise TooLarge("configuration is not a balanced ell x k placement")
         return self.index[p]
 
-    def sides(self, u: int, v: int) -> Tuple[List[int], List[int], int]:
-        """The serve cost of {u, v} in every state, the states that
-        collocate u and v, and the states that split them as a bitmask,
-        state s as bit s."""
+    def sides(self, u: int, v: int) -> Tuple[List[int], int]:
+        """The states that collocate u and v, and the states that split
+        them as a bitmask, state s as bit s."""
         pair = (u, v) if u < v else (v, u)
         out = self._sides.get(pair)
         if out is None:
-            serve = [1 if b[u] != b[v] else 0 for b in self._block_of]
-            # the serve costs, last state first, read as binary digits
-            digits = bytes(reversed(serve)).translate(_DIGITS)
+            together = [s for s, b in enumerate(self._block_of) if b[u] == b[v]]
+            every = (1 << len(self)) - 1
             out = self._sides[pair] = (
-                serve, [s for s, e in enumerate(serve) if not e],
-                int(digits, 2))
+                together, every - sum(map((1).__lshift__, together)))
         return out
 
     def row(self, i: int) -> List[int]:
@@ -265,51 +269,72 @@ class WorkFunction:
     """The offline optimum of a growing request stream, one request at a
     time: `push` serves a request and `value` is the optimum so far.
 
-    `x` is the closed value vector and `level` maps each value in it to the
-    bitmask of the states that hold it; see the module docstring.
+    `level` maps each value of the closed vector, in ascending order, to
+    the bitmask of the states that hold it; see the module docstring.
     """
 
     def __init__(self, params: Params, initial: Configuration,
                  space: Optional[PartitionSpace] = None):
         self.space = space = _space_for(params, space)
         self.start = space.state_of(initial)
-        self.x = list(space.transitions()[self.start])
-        self.level: Dict[int, int] = {}
-        for s, v in enumerate(self.x):
-            self.level[v] = self.level.get(v, 0) | 1 << s
+        level: Dict[int, int] = {}
+        for s, v in enumerate(space.transitions()[self.start]):
+            level[v] = level.get(v, 0) | 1 << s
+        self.level = dict(sorted(level.items()))
         self._near = space.near()
 
     @property
     def value(self) -> int:
-        return min(self.level)
+        return next(iter(self.level))
 
-    def push(self, req: Request) -> List[int]:
-        """Serve req and return the unclosed vector x + e."""
-        serve, together, split = self.space.sides(req.u, req.v)
-        x, level = self.x, self.level
-        # the collocating states by value, the witnesses
-        groups: Dict[int, List[int]] = {}
-        for w in together:
-            groups.setdefault(x[w], []).append(w)
-        kept = 0
-        for v, ws in groups.items():
-            for d, masks in self._near.items():
-                target = level.get(v + d, 0) & split & ~kept
-                if target:
-                    kept |= target & reduce(or_, map(masks.__getitem__, ws))
-        served = list(map(add, x, serve))
-        self.x = x = served.copy()
-        up = split & ~kept
-        while kept:
-            s = kept.bit_length() - 1
-            x[s] -= 1
-            kept ^= 1 << s
-        self.level = new = {}
+    def push(self, req: Request) -> None:
+        """Serve req. The levels are replaced, never changed in place."""
+        split = self.space.sides(req.u, req.v)[1]
+        level = self.level
+        top = next(reversed(level))
+        # a witness above top - d, d the least cost, reaches no level
+        last = top - next(iter(self._near), 0)
+        up = split      # the split states no witness has kept yet
         for v, mask in level.items():
-            for value, part in ((v, mask & ~up), (v + 1, mask & up)):
-                if part:
-                    new[value] = new.get(value, 0) | part
-        return served
+            if v > last or not up:
+                break
+            witnesses = mask & ~split
+            if not witnesses:
+                continue
+            ws = None
+            for d, masks in self._near.items():
+                if v + d > top:
+                    break
+                target = level.get(v + d, 0) & up
+                if target:
+                    if ws is None:
+                        ws = []
+                        while witnesses:
+                            low = witnesses & -witnesses
+                            ws.append(low.bit_length() - 1)
+                            witnesses ^= low
+                    up &= ~(target & reduce(or_, map(masks.__getitem__, ws)))
+        self.level = _raised(level, up)
+
+
+def _raised(level: Dict[int, int], up: int) -> Dict[int, int]:
+    """The levels with the states of `up` moved one level up, in ascending
+    order again, as v + 1 is at most the next level."""
+    out: Dict[int, int] = {}
+    above, carry = None, 0      # the states raised from the level below
+    for v, mask in level.items():
+        raised = mask & up
+        stay = mask ^ raised
+        if v == above:
+            stay |= carry
+        elif carry:
+            out[above] = carry
+        if stay:
+            out[v] = stay
+        above, carry = v + 1, raised
+    if carry:
+        out[above] = carry
+    return out
 
 
 def optimal_cost(requests: Sequence[Request], params: Params,
@@ -322,22 +347,41 @@ def optimal_cost(requests: Sequence[Request], params: Params,
     serves. Returns the optimal total and one optimal state schedule
     (initial state first), ties resolved toward the lowest state index.
     """
-    from array import array
-
     work = WorkFunction(params, initial, space)
     space, start = work.space, work.start
-    # values right after each request, as machine words: kept for the
-    # backtrack, and costs above 256 would each be an int object
-    served = [array("q", work.push(req)) for req in requests]
-    if not served:
+    # each request's levels before its push, and its split states
+    steps = []
+    for req in requests:
+        steps.append((work.level, space.sides(req.u, req.v)[1]))
+        work.push(req)
+    if not steps:
         return 0, [space.partitions[start]]
-    trans = space.transitions()
-    total = min(served[-1])
-    path = [served[-1].index(total)]
-    for prev in reversed(served[:-1]):
-        # T is symmetric, so row s holds the cost of reaching s from each state
-        arrive = list(map(add, prev, trans[path[-1]]))
-        path.append(arrive.index(min(arrive)))
+    near = space.near()
+    # off the diagonal T > 0, so the closure keeps the least served value
+    # and the states that hold it
+    total = work.value
+    ends = work.level[total]
+    path = [(ends & -ends).bit_length() - 1]
+    for level, split in reversed(steps[:-1]):
+        cur = path[-1]
+        # T is symmetric, so near[d][cur] holds the states at cost d to cur
+        reach = [(0, 1 << cur)]
+        reach += [(d, masks[cur]) for d, masks in near.items()]
+        best, tie = math.inf, 0
+        for v, mask in level.items():
+            if v > best:
+                break
+            for value, part in ((v, mask & ~split), (v + 1, mask & split)):
+                for d, states in reach:
+                    if value + d > best:
+                        break
+                    hit = part & states
+                    if hit:
+                        if value + d < best:
+                            best, tie = value + d, hit
+                        else:
+                            tie |= hit
+        path.append((tie & -tie).bit_length() - 1)
     path.append(start)
     path.reverse()
     return total, [space.partitions[s] for s in path]
@@ -357,7 +401,7 @@ def static_optimal(requests: Sequence[Request], params: Params,
     # every request is paid for, except in the states that collocate it
     cost = [c + len(requests) for c in space.row(start)]
     for (u, v), count in counts.items():
-        for s in space.sides(u, v)[1]:
+        for s in space.sides(u, v)[0]:
             cost[s] -= count
     best = min(cost)
     return best, space.partitions[cost.index(best)]

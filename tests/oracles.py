@@ -6,7 +6,8 @@ they are usable up to roughly ten components. The component reference
 runs the algorithm's searches over every component instead of the narrowed
 candidates, and checks its invariants with one loop per table. The placement and pair-counter references rebuild or scan
 everything on every call, and the offline references scan every pair of
-states on every request; the migration-distance reference tries every
+states on every request, as does the work function's closed-vector
+reference; the migration-distance reference tries every
 relabeling of the clusters. `component_sizes` and `pair_counts` read an
 algorithm's state in the shape the tests compare. The ring rotations at
 the end are a construction only the adversary tests use.
@@ -446,6 +447,22 @@ def full_scan_optimal_cost(requests: Sequence[Request], params: Params,
         path.append(parent[path[-1]])
     path.reverse()
     return total, [space.partitions[s] for s in path]
+
+
+def closed_vectors(requests: Sequence[Request], space: PartitionSpace,
+                   initial: Configuration) -> List[List[int]]:
+    """The work function before the first request and after each one:
+    entry s is the least cost of serving the prefix and then standing in
+    state s, every entry a scan over every state."""
+    trans = space.transitions()
+    m = len(space)
+    x = list(trans[space.state_of(initial)])
+    out = [x]
+    for req in requests:
+        served = [x[s] + serves(space, req, s) for s in range(m)]
+        x = [min(served[w] + trans[w][s] for w in range(m)) for s in range(m)]
+        out.append(x)
+    return out
 
 
 def serve_scan_static_optimal(requests: Sequence[Request], params: Params,

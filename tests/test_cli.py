@@ -316,6 +316,16 @@ def test_pair_chase_without_a_cluster_mate_is_an_error(capsys):
         "error: pair chase: node 3 has no cluster mate to chase\n")
 
 
+def test_naive_never_migrates_at_k_1(capsys):
+    # no cluster holds a pair, so naive has no mate to evict and stays put,
+    # as null and components do
+    rc = cli.main(["run", "--alg", "naive", "--source", "group_phases",
+                   "--n", "2", "--k", "1", "--l", "2", "--steps", "20"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["on_mig"], report["ratio"]) == (0, "1/1")
+
+
 def test_run_via_main_prints_json(capsys):
     rc = cli.main(["run", "--alg", "null", "--source", "ring", "--n", "6",
                    "--k", "2", "--l", "3", "--steps", "12"])

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    closed_vectors,
     exhaustive_optimal,
     full_scan_optimal_cost,
     pairwise_transitions,
@@ -300,12 +301,13 @@ def test_state_masks_match_a_scan_of_the_matrix(alpha):
                                for row in trans], (n, k, ell, d)
         assert space.near() is near
         for u, v in itertools.combinations(range(n), 2):
-            serve, together, split = space.sides(v, u)
-            assert split == sum(1 << s for s, e in enumerate(serve) if e), \
+            collocated = [any(u in b and v in b for b in part)
+                          for part in space.partitions]
+            together, split = space.sides(v, u)
+            assert together == [s for s, c in enumerate(collocated) if c], \
                 (n, k, ell, u, v)
-            assert together == [s for s, e in enumerate(serve) if not e]
-            assert serve == [0 if any(u in b and v in b for b in part) else 1
-                             for part in space.partitions]
+            assert split == sum(1 << s for s, c in enumerate(collocated)
+                                if not c), (n, k, ell, u, v)
 
 
 # every shape under the state cap with more than 280 states (for n above 16
@@ -379,6 +381,30 @@ def test_work_function_value_is_the_optimum_of_each_prefix():
             assert values == [
                 full_scan_optimal_cost(sigma[:t], space.params, initial, space)[0]
                 for t in range(len(sigma) + 1)], (n, k, ell, alpha)
+
+
+@pytest.mark.parametrize("alpha", (1, 3, 300))
+def test_work_function_levels_are_the_closed_vector(alpha):
+    # level[v] holds exactly the states of closed value v after every push,
+    # keys ascending; the repeated split pair makes moving pay at alpha 300
+    rng = random.Random(alpha)
+    for n, k, ell in SMALL_SHAPES:
+        space = _space(n, k, ell, alpha)
+        initial = contiguous_configuration(space.params)
+        streams = [_random_requests(rng, n, 30 if len(space) <= 126 else 12)]
+        if 1 < len(space) <= 35:
+            streams.append([Request(0, n - 1)] * (2 * alpha + 3) +
+                           _random_requests(rng, n, 10))
+        for sigma in streams:
+            work = WorkFunction(space.params, initial, space)
+            levels = [list(work.level.items())]
+            for req in sigma:
+                work.push(req)
+                levels.append(list(work.level.items()))
+            assert levels == [
+                [(v, sum(1 << s for s, c in enumerate(x) if c == v))
+                 for v in sorted(set(x))]
+                for x in closed_vectors(sigma, space, initial)], (n, k, ell)
 
 
 def test_state_cap_fails_fast():
