@@ -16,7 +16,7 @@ A merge set X has |X| >= 2, vol(X) <= k and com(X) >= (|X|-1)*alpha; an
 epoch set Y has vol(Y) > k and com(Y) >= vol(Y)*alpha. The state is
 merge-exhausted when no merge set exists. deg(c) is the total weight of
 component c, and c is hot when deg(c) > alpha*size(c). Weights are positive
-integers and sizes at least 1, so the searches can be narrowed by three
+integers and sizes at least 1, so the searches can be narrowed by four
 lemmas:
 
 1. Merge core (precondition: merge-exhausted before the step's weight
@@ -55,6 +55,14 @@ lemmas:
    qualifies or the core holds one: what remains after peeling components
    of size above k-2, or whose k - size(c) heaviest weights into the rest
    sum to at most alpha.
+4. Connected minimum (no precondition). A merge set X of minimum
+   cardinality is connected along its members. Were it split into A and B
+   with no weight between them, com(X) = com(A) + com(B) >= (|A|+|B|-1) *
+   alpha. If |A| = 1, com(A) = 0, so com(B) >= |B|*alpha > 0, B holds an
+   edge and |B| >= 2; likewise if |B| = 1. Otherwise, were com(A) <
+   (|A|-1)*alpha and com(B) < (|B|-1)*alpha, com(X) would fall below
+   (|X|-2)*alpha. Either way one part of at least two members reaches
+   (|part|-1)*alpha with vol <= vol(X) <= k: a smaller merge set.
 
 In each case every answer lies in what survives peeling (peeling removes c
 only when its weight into a superset of the answer is already too low), so
@@ -62,9 +70,12 @@ the public searches, run on the survivors, return exactly what they return
 on all components. A peel has one fixpoint, so starting it from any
 superset of its survivors, such as the hot components and the seeds, leaves
 the same set. `step` relies on lemmas 1 and 2 and so on the invariant that
-`residual_merge_set` checks after every step; that check relies on lemma 3
-only, and falls back to a search over all components whenever a pair
-qualifies or the core holds a merge set.
+`residual_merge_set` checks after every step; that check relies on lemmas 3
+and 4 only. With no qualifying pair, a merge set of minimum cardinality
+lies in the core (lemma 3) and is connected (lemma 4), so the check asks
+only whether the core's connected sets hold a merge set. Whenever a pair
+qualifies or they hold one, it falls back to find_merge_set over all
+components with weight, so it returns what that search returns.
 
 By lemma 1, `step` finds X among the connected supersets of S alone, which
 it walks with ESU (Wernicke 2006, "Efficient detection of network
@@ -80,7 +91,11 @@ later entry of S's list or a neighbour of c, so O(|N(S)| * max deg) sets,
 as |N(S)| <= 2 * max deg. From room 3 up it keeps to the alpha-core
 within room hops of S, peeled to a fan-in of room+1, and cuts a branch by
 find_merge_set's density bound over the candidates the branch can still
-take.
+take. The residual check walks the core the same way with no seed: rooted
+at each core component in turn, taking only components of larger id, so
+each connected set of vol <= k is visited once, from its smallest id, until
+the first merge set. Past the root it cuts a branch by the same density
+bound over the core components the branch can still take.
 """
 
 import math
@@ -300,35 +315,61 @@ def _peel(cands: Iterable[int], nbrs: Dict[int, Dict[int, int]],
     What remains holds every set of candidates with the seed in which each
     other member c has w(c, set - c) >= need(c) and, given `fan`, at most
     fan(c) mates. Both tests only get stricter as candidates go, so the
-    order of drops does not change what remains."""
-    needs = {c: need(c) for c in cands if c in nbrs and c not in seed}
-    alive = set(needs).union(seed)
-    into = {c: sum([w for d, w in nbrs[c].items() if d in alive])
-            for c in needs}
-
-    def thin(c: int) -> bool:
-        if len(nbrs[c]) <= fan(c):      # all its weights, and into[c] passed
-            return False
-        heavy = sorted([w for d, w in nbrs[c].items() if d in alive],
-                       reverse=True)
-        return sum(heavy[:fan(c)]) < needs[c]
-
-    doomed = [c for c, b in needs.items() if into[c] < b]
+    order of drops does not change what remains. The fan test of c reads
+    only which of c's neighbours remain, so after one pass over every
+    candidate it runs again only on the neighbours of those dropped."""
+    alive = set(seed)
+    needs: Dict[int, int] = {}
+    for c in cands:
+        if c in nbrs and c not in alive:
+            needs[c] = need(c)
+    alive.update(needs)
+    into: Dict[int, int] = {}
+    doomed: List[int] = []
+    for c, b in needs.items():
+        total = 0
+        for d, w in nbrs[c].items():
+            if d in alive:
+                total += w
+        into[c] = total
+        if total < b:
+            doomed.append(c)
+    test: Optional[Iterable[int]] = needs
     while True:
+        dropped = []
         while doomed:
             c = doomed.pop()
             if c not in alive:
                 continue
             alive.remove(c)
+            dropped.append(c)
             for d, w in nbrs[c].items():
-                if d in alive and d in needs:
+                if d in needs and d in alive:
                     into[d] -= w
                     if into[d] < needs[d]:
                         doomed.append(d)
-        if fan is not None:
-            doomed = [c for c in alive if c in needs and thin(c)]
+        if fan is None:
+            return alive
+        if test is None:
+            test = {d for c in dropped for d in nbrs[c]}
+        for c in test:
+            if c not in alive or c not in needs:
+                continue
+            row, top = nbrs[c], fan(c)
+            if len(row) <= top:
+                continue
+            heavy = []
+            for d, w in row.items():
+                if d in alive:
+                    heavy.append(w)
+            # with at most fan(c) weights left they are into[c], which passed
+            if len(heavy) > top:
+                heavy.sort(reverse=True)
+                if sum(heavy[:top]) < needs[c]:
+                    doomed.append(c)
         if not doomed:
             return alive
+        test = None
 
 
 def _within(nbrs: Dict[int, Dict[int, int]], seed: Sequence[int], hops: int,
@@ -344,6 +385,18 @@ def _within(nbrs: Dict[int, Dict[int, int]], seed: Sequence[int], hops: int,
             break
         reached.update(frontier)
     return reached
+
+
+def _offer(best: Tuple[int, int, Tuple[int, ...]], card: int, com: int,
+           members: Tuple[int, ...]) -> Tuple[int, int, Tuple[int, ...]]:
+    """Of `best` and the set `members`, as (card, com, sorted ids), the one
+    find_merge_set prefers."""
+    if (card, com) < best[:2]:
+        return best
+    ids = tuple(sorted(members))
+    if (card, com) > best[:2] or ids < best[2]:
+        return card, com, ids
+    return best
 
 
 def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
@@ -373,19 +426,10 @@ def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
     blocked = {a, b}.union(ra, rb)      # the set and its neighbours
     visits = 1
 
-    def offer(card, com, members):
-        nonlocal best
-        if (card, com) >= best[:2]:
-            ids = tuple(sorted(members))
-            if (card, com) > best[:2] or ids < best[2]:
-                best = (card, com, ids)
-
     # (nested functions go unannotated: annotations are evaluated per call)
     def grow(chosen, ext, left, com):
-        nonlocal visits
+        nonlocal best, visits
         card = len(chosen)
-        if card + left < best[0]:
-            return
         if heaviest is not None:
             lifts = [2 * (g - alpha) + heaviest[d][left - 1]
                      for d, _, g in ext]
@@ -400,33 +444,117 @@ def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
         for i, (c, s, g) in enumerate(ext):
             new_com = com + g
             if new_com >= need:
-                offer(card + 1, new_com, chosen + (c,))
+                best = _offer(best, card + 1, new_com, chosen + (c,))
             rest = left - s
             if rest <= 0:
                 continue
             row = nbrs[c]
+            if rest == 1:
+                # each entry left has size 1 and fills the set: visit it here
+                short = need + alpha - new_com
+                for d, t, h in ext[i + 1:]:
+                    if t == 1:
+                        visits += 1
+                        h += row.get(d, 0)
+                        if h >= short:
+                            best = _offer(best, card + 2, new_com + h,
+                                          chosen + (c, d))
+                for d, h in row.items():
+                    if d not in blocked and len(nodes[d]) == 1 and (
+                            deg[d] >= alpha
+                            and (heaviest is None or d in heaviest)):
+                        visits += 1
+                        if h >= short:
+                            best = _offer(best, card + 2, new_com + h,
+                                          chosen + (c, d))
+                continue
+            if card + 1 + rest < best[0]:
+                continue
             fresh = row.keys() - blocked
             sub = [(d, t, h + row.get(d, 0)) for d, t, h in ext[i + 1:]
                    if t <= rest]
             sub += [(d, t, row[d]) for d in fresh
                     if (t := len(nodes[d])) <= rest and deg[d] >= alpha
                     and (heaviest is None or d in heaviest)]
-            if rest > 1:
-                blocked.update(fresh)
-                grow(chosen + (c,), sub, rest, new_com)
-                blocked.difference_update(fresh)
-                continue
-            # each entry has size 1 and fills the set: visit it here
-            visits += len(sub)
-            for d, _, h in sub:
-                if new_com + h >= need + alpha:
-                    offer(card + 2, new_com + h, chosen + (c, d))
+            blocked.update(fresh)
+            grow(chosen + (c,), sub, rest, new_com)
+            blocked.difference_update(fresh)
 
     grow(seed, [(d, t, ra.get(d, 0) + rb.get(d, 0)) for d in blocked
                 if d != a and d != b and (t := len(nodes[d])) <= room
                 and deg[d] >= alpha and (heaviest is None or d in heaviest)],
          room, com0)
     return best[2], visits
+
+
+def _core_holds_merge_set(nbrs: Dict[int, Dict[int, int]],
+                          sizes: Dict[int, int], core: Set[int], k: int,
+                          alpha: int) -> Tuple[bool, int]:
+    """Whether some set of `core` components that is connected along its
+    members is a merge set, and how many sets the walk visited: ESU rooted
+    at each core component over larger ids, cut by density past the root
+    (see the module docstring). `nbrs` holds at least each core
+    component's weights into the core."""
+    heaviest = {c: _heaviest([w for d, w in nbrs[c].items() if d in core],
+                             k - 1) for c in core}
+    visits = 0
+
+    def grow(root, card, ext, left, com, blocked):
+        nonlocal visits
+        if card > 1:
+            lifts = [2 * (g - alpha) + heaviest[d][left - 1]
+                     for d, _, g in ext]
+            lifts += [heaviest[d][left - 1] - 2 * alpha for d in core
+                      if d > root and d not in blocked and sizes[d] <= left]
+            lifts.sort()
+            if 2 * (com - (card - 1) * alpha) + sum(
+                    lift for lift in lifts[-left:] if lift > 0) < 0:
+                return False
+        visits += len(ext)
+        need = card * alpha
+        for i, (c, s, g) in enumerate(ext):
+            new_com = com + g
+            if new_com >= need:
+                return True
+            rest = left - s
+            if rest <= 0:
+                continue
+            row = nbrs[c]
+            if rest == 1:
+                # each entry left has size 1 and fills the set: visit it here
+                short = need + alpha - new_com
+                for d, t, h in ext[i + 1:]:
+                    if t == 1:
+                        visits += 1
+                        if h + row.get(d, 0) >= short:
+                            return True
+                for d, h in row.items():
+                    if d > root and d not in blocked and d in core and (
+                            sizes[d] == 1):
+                        visits += 1
+                        if h >= short:
+                            return True
+                continue
+            fresh = row.keys() - blocked
+            sub = [(d, t, h + row.get(d, 0)) for d, t, h in ext[i + 1:]
+                   if t <= rest]
+            sub += [(d, t, row[d]) for d in fresh
+                    if d > root and d in core and (t := sizes[d]) <= rest]
+            blocked.update(fresh)
+            if grow(root, card + 1, sub, rest, new_com, blocked):
+                return True
+            blocked.difference_update(fresh)
+        return False
+
+    for root in sorted(core):
+        row, left = nbrs[root], k - sizes[root]
+        visits += 1
+        if grow(root, 1, [(d, t, w) for d, w in row.items()
+                          if d > root and d in core
+                          and (t := sizes[d]) <= left],
+                left, 0, {root}.union(row)):
+            return True, visits
+    return False, visits
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +854,9 @@ class ComponentRepartitioner:
 
         Empty means the state is merge-exhausted, as it must be after every
         completed step. By lemma 3 a merge set exists iff a pair qualifies
-        or the core holds one, so the common empty answer costs one pass
-        over the weights and a search of the core; otherwise the search
+        or the core holds one, and by lemma 4 the core holds one iff one of
+        its connected sets is one, so the common empty answer costs one
+        pass over the weights and a walk of the core; otherwise the search
         runs over every component with positive weight (isolated ones only
         raise the cardinality requirement).
         """
@@ -750,8 +879,9 @@ class ComponentRepartitioner:
             heavy = [c for c, row in small.items() if sum(row.values()) > alpha]
             core = _peel(heavy, small, (), lambda c: alpha + 1,
                          lambda c: k - sizes[c]) if len(heavy) > 2 else ()
-            if len(core) < 3 or not find_merge_set(
-                    {c: sizes[c] for c in core}, self.weights, k, alpha):
+            # lemma 4: a merge set of minimum cardinality is connected
+            if len(core) < 3 or not _core_holds_merge_set(
+                    small, sizes, core, k, alpha)[0]:
                 return ()
         live = _adjacency(self.weights, sizes)
         return find_merge_set({c: sizes[c] for c in live},

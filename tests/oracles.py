@@ -8,8 +8,9 @@ candidates, and checks its invariants with one loop per table. The placement and
 everything on every call, and the offline references scan every pair of
 states on every request, as does the work function's closed-vector
 reference; the migration-distance reference tries every
-relabeling of the clusters. `component_sizes` and `pair_counts` read an
-algorithm's state in the shape the tests compare. The ring rotations at
+relabeling of the clusters. `rescan_peel` is the component peel that
+re-tests every candidate each round. `component_sizes` and `pair_counts`
+read an algorithm's state in the shape the tests compare. The ring rotations at
 the end are a construction only the adversary tests use.
 """
 
@@ -135,6 +136,67 @@ def naive_connected_merge_set(sizes, weights, k, alpha, seed):
             if best_key is None or key < best_key:
                 best_key, best = key, sub
     return best, count
+
+
+def naive_core_merge_set(sizes, weights, core, k, alpha):
+    """The residual check's core walk by enumeration: whether some subset of
+    `core` that is connected along its members' positive weights is a merge
+    set, and how many connected subsets of `core` with vol <= k there are,
+    singletons included."""
+    holds, count = False, 0
+    for r in range(1, len(core) + 1):
+        for sub in itertools.combinations(sorted(core), r):
+            if sum(sizes[c] for c in sub) > k:
+                continue
+            reached, frontier = {sub[0]}, [sub[0]]
+            while frontier:
+                c = frontier.pop()
+                for d in sub:
+                    if d not in reached and weights.get(
+                            (min(c, d), max(c, d)), 0) > 0:
+                        reached.add(d)
+                        frontier.append(d)
+            if len(reached) < r:
+                continue
+            count += 1
+            holds = holds or (r > 1 and internal_weight(sub, weights)
+                              >= (r - 1) * alpha)
+    return holds, count
+
+
+def rescan_peel(cands, nbrs, seed, need, fan=None):
+    """components._peel by full rescans: each round drops by weight until
+    nothing more goes, then, given `fan`, runs the fan test again on every
+    candidate left, where _peel re-tests only the neighbours of the
+    candidates dropped since."""
+    needs = {c: need(c) for c in cands if c in nbrs and c not in seed}
+    alive = set(needs).union(seed)
+    into = {c: sum([w for d, w in nbrs[c].items() if d in alive])
+            for c in needs}
+
+    def thin(c):
+        if len(nbrs[c]) <= fan(c):
+            return False
+        heavy = sorted([w for d, w in nbrs[c].items() if d in alive],
+                       reverse=True)
+        return sum(heavy[:fan(c)]) < needs[c]
+
+    doomed = [c for c, b in needs.items() if into[c] < b]
+    while True:
+        while doomed:
+            c = doomed.pop()
+            if c not in alive:
+                continue
+            alive.remove(c)
+            for d, w in nbrs[c].items():
+                if d in alive and d in needs:
+                    into[d] -= w
+                    if into[d] < needs[d]:
+                        doomed.append(d)
+        if fan is not None:
+            doomed = [c for c in alive if c in needs and thin(c)]
+        if not doomed:
+            return alive
 
 
 def random_component_graph(rng, k):

@@ -6,6 +6,7 @@ narrows each search to the components that can be in its answer, runs in
 lockstep with the reference that searches all of them.
 """
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -19,9 +20,11 @@ from oracles import (
     dense_component_graph,
     internal_weight,
     naive_connected_merge_set,
+    naive_core_merge_set,
     naive_epoch_set,
     naive_merge_set,
     random_component_graph,
+    rescan_peel,
 )
 from repart import components
 from repart.adversaries import PlantedPartition, RandomPairs, TraceSource
@@ -176,6 +179,147 @@ def test_residual_check_agrees_with_naive_enumeration():
                            for (a, b), w in weights.items())
         in_core += len(expected) > 1 and pairless
     assert found > 100 and in_core > 10
+
+
+def _residual(k, alpha, sizes, weights):
+    """The residual check of a state with these component sizes and weights;
+    the check reads only the node lists' lengths."""
+    p = Params(2 * k, k, 2, alpha=alpha, delta=4)
+    alg = ComponentRepartitioner(p, contiguous_configuration(p))
+    alg.comp_nodes = {c: [c] * size for c, size in sizes.items()}
+    alg.weights = dict(weights)
+    return alg.residual_merge_set()
+
+
+# No pair reaches alpha = 3. The only merge set, (2, 3, 4), has vol = k = 3
+# and avoids 1, the core's smallest id; with the weight 3-4 at 1 there is
+# none. Every component keeps a fan-in of 2 + 2 > alpha, so all five form
+# the core.
+CORE_WEIGHTS = {(1, 2): 2, (1, 5): 2, (2, 3): 2, (2, 4): 2, (3, 4): 2,
+                (3, 5): 2}
+
+
+def test_residual_check_walks_the_core_from_every_root():
+    # A core walk rooted only at the smallest id, or one that stops
+    # growing at vol k-1, misses the merge set.
+    sizes = dict.fromkeys(range(1, 6), 1)
+    assert _residual(3, 3, sizes, CORE_WEIGHTS) == (2, 3, 4)
+
+
+def test_core_walk_visits_each_connected_set_once():
+    # With no merge set in the core the walk visits every connected set of
+    # vol <= k exactly once, from its smallest id: a walk that also took
+    # ids below its root would visit some of them again.
+    sizes = dict.fromkeys(range(1, 6), 1)
+    weights = dict(CORE_WEIGHTS)
+    weights[(3, 4)] = 1
+    nbrs = _adjacency(weights, sizes)
+    holds, count = naive_core_merge_set(sizes, weights, set(sizes), 3, 3)
+    assert (holds, count) == (False, 18)
+    assert components._core_holds_merge_set(
+        nbrs, sizes, set(sizes), 3, 3) == (False, 18)
+    assert _residual(3, 3, sizes, weights) == ()
+
+
+def test_core_walk_agrees_with_connected_enumeration():
+    # On arbitrary graphs and cores: the same answer as the enumeration, and
+    # at most one visit per connected set of vol <= k. Below k = 4 no set
+    # past the root has room to grow by more than one member, so no density
+    # cut runs, and when no merge set stops the walk early it visits each
+    # of those sets. Weights redrawn below alpha leave larger cores with no
+    # merge set to walk through.
+    rng = random.Random(700)
+    hits = walked = 0
+    for i in range(900):
+        k = rng.randint(2, 6)
+        alpha = rng.randint(1, 3)
+        if i % 2:
+            sizes, weights = random_component_graph(rng, k)
+        else:
+            sizes, weights = dense_component_graph(rng, k, alpha)
+        top = rng.choice((max(alpha - 1, 1), alpha + 1, 3 * alpha))
+        weights = {key: rng.randint(1, top) for key in weights}
+        nbrs = _adjacency(weights, sizes)
+        if not nbrs:
+            continue
+        core = set(rng.sample(sorted(nbrs), rng.randint(1, len(nbrs))))
+        holds, count = naive_core_merge_set(sizes, weights, core, k, alpha)
+        got, visits = components._core_holds_merge_set(nbrs, sizes, core, k,
+                                                       alpha)
+        assert got == holds, (k, alpha, sizes, weights, core)
+        assert visits <= count
+        if k <= 3 and not holds:
+            assert visits == count
+            walked += count > 6
+        hits += holds
+    assert hits > 100 and walked > 10
+
+
+def test_core_walk_cuts_by_density(monkeypatch):
+    # On a random k = 8, alpha = 3 run the cores hold about 20 components;
+    # without the density cut their walks visit over a hundred times as
+    # many sets.
+    calls, visits = [], []
+    walk = components._core_holds_merge_set
+
+    def counted(*args):
+        out = walk(*args)
+        calls.append(len(args[2]))
+        visits.append(out[1])
+        return out
+
+    monkeypatch.setattr(components, "_core_holds_merge_set", counted)
+    p = Params(32, 8, 4, alpha=3, delta=4)
+    alg = ComponentRepartitioner(p, contiguous_configuration(p))
+
+    def check(t, config, req, comm, mig):
+        assert alg.residual_merge_set() == ()
+
+    run(alg, RandomPairs(7, 32, 300), p, alg.start, 300, observer=check)
+    assert len(calls) >= 40 and sum(calls) >= 20 * len(calls)
+    assert sum(visits) <= 25872
+
+
+@st.composite
+def peel_cases(draw):
+    """Candidates (repeats and weightless ids included), a symmetric graph
+    of positive weights, a seed of up to two ids, and a need and a fan per
+    id."""
+    ids = draw(st.lists(st.integers(0, 15), min_size=1, max_size=10,
+                        unique=True))
+    nbrs = {}
+    for a, b in itertools.combinations(ids, 2):
+        w = draw(st.integers(0, 4))
+        if w:
+            nbrs.setdefault(a, {})[b] = w
+            nbrs.setdefault(b, {})[a] = w
+    cands = draw(st.lists(st.sampled_from(ids), max_size=12))
+    seed = tuple(draw(st.lists(st.sampled_from(ids), max_size=2,
+                               unique=True)))
+    need = {c: draw(st.integers(1, 8)) for c in ids}
+    fan = {c: draw(st.integers(1, 4)) for c in ids}
+    return cands, nbrs, seed, need.__getitem__, fan.__getitem__
+
+
+@settings(max_examples=400, deadline=None)
+@given(peel_cases())
+def test_peel_matches_the_rescan_reference(case):
+    cands, nbrs, seed, need, fan = case
+    for f in (None, fan):
+        assert _peel(cands, nbrs, seed, need, f) == rescan_peel(
+            cands, nbrs, seed, need, f)
+
+
+def test_peel_retests_the_neighbours_of_fan_drops():
+    # With fan 1, 1 fails its fan test (heaviest 3 < need 4) and goes, and 6
+    # goes with it. Only then does 2 fail its own: its weight into the rest
+    # still meets its need of 3, but its heaviest weight left is 1. A peel
+    # that re-tested no one, or only the dropped, would keep 2 and 5.
+    nbrs = _adjacency({(1, 2): 3, (1, 6): 2, (2, 3): 1, (2, 4): 1,
+                       (2, 5): 1, (3, 4): 1}, range(1, 7))
+    need = {1: 4, 2: 3}
+    args = (range(1, 7), nbrs, (), lambda c: need.get(c, 1), lambda c: 1)
+    assert _peel(*args) == rescan_peel(*args) == {3, 4}
 
 
 def _walk(sizes, weights, k, alpha, seed, bound=False):
@@ -672,22 +816,25 @@ def test_one_pass_invariant_check_matches_the_reference(case):
 
 def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     # A guard without timings: on one seeded grid-shaped run under the
-    # per-step checks, dropping a seed-only decision, a fan-in bound or the
-    # walk's cuts raises one of these counts above what the shortcuts
-    # reach. The step walks its merge sets and calls no find_merge_set.
+    # per-step checks, dropping a seed-only decision, a fan-in bound, the
+    # walk's cuts or the core walk's root order raises one of these counts
+    # above what the shortcuts reach. The step walks its merge sets and
+    # calls no find_merge_set; the residual check walks its core and calls
+    # find_merge_set (its fallback) only when a merge set exists.
     counts = {"find_merge_set": 0, "find_epoch_set": 0, "_subgraph": 0,
-              "core search": 0, "walk visits": 0}
+              "fallback": 0, "walk visits": 0, "core walk visits": 0}
     checking = []
-    walk = components._connected_merge_set
 
-    def walked(*args):
-        best, visits = walk(*args)
-        counts["walk visits"] += visits
-        return best, visits
+    def visits_of(name, walk):
+        def call(*args):
+            out = walk(*args)
+            counts[name] += out[1]
+            return out
+        return call
 
     def counted(name, fn):
         def call(*args, **kwargs):
-            counts["core search" if checking and name == "find_merge_set"
+            counts["fallback" if checking and name == "find_merge_set"
                    else name] += 1
             return fn(*args, **kwargs)
         return call
@@ -708,7 +855,10 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
         "_subgraph", ComponentRepartitioner._subgraph))
     monkeypatch.setattr(ComponentRepartitioner, "residual_merge_set",
                         residual)
-    monkeypatch.setattr(components, "_connected_merge_set", walked)
+    monkeypatch.setattr(components, "_connected_merge_set", visits_of(
+        "walk visits", components._connected_merge_set))
+    monkeypatch.setattr(components, "_core_holds_merge_set", visits_of(
+        "core walk visits", components._core_holds_merge_set))
     p = Params(16, 4, 4, alpha=3, delta=4)
     moved = 0
     for src in (PlantedPartition(11, p, 0.9, 0.1, steps=1000),
@@ -726,7 +876,8 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     assert counts["walk visits"] <= 15058
     assert counts["find_epoch_set"] <= 459
     assert counts["_subgraph"] <= 1054
-    assert counts["core search"] <= 96
+    assert counts["fallback"] == 0
+    assert counts["core walk visits"] <= 2918
 
 
 def test_invariants_hold_across_random_runs():
