@@ -52,6 +52,8 @@ class RunSpec:
             raise ValueError("unknown source %r" % self.source)
         if self.oracle not in ("dp", "static", "none"):
             raise ValueError("oracle must be dp, static, or none")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
         if self.alg == "greedy" and self.k != 2:
             raise ValueError("greedy needs clusters of size 2")
         if self.alg == "components" and self.augmentation() < 4:

@@ -77,25 +77,25 @@ only whether the core's connected sets hold a merge set. Whenever a pair
 qualifies or they hold one, it falls back to find_merge_set over all
 components with weight, so it returns what that search returns.
 
-By lemma 1, `step` finds X among the connected supersets of S alone, which
-it walks with ESU (Wernicke 2006, "Efficient detection of network
-motifs") rooted at S. A set grows only from its extension list, which for
-S holds S's neighbours. Taking the entry c hands c's branch the entries
-after c plus c's exclusive neighbours, those neither in the set nor next
-to it; so each connected superset of S is visited once, and an entry
-passed over is not offered again below its later siblings. The walk takes
-only components that fit the room left and have deg >= alpha; with none,
-it visits S alone. At room <= 2, which covers every step at k <= 4, that
-is all: past S it visits each S+c, and for each c the sets S+c+d with d a
-later entry of S's list or a neighbour of c, so O(|N(S)| * max deg) sets,
-as |N(S)| <= 2 * max deg. From room 3 up it keeps to the alpha-core
-within room hops of S, peeled to a fan-in of room+1, and cuts a branch by
-find_merge_set's density bound over the candidates the branch can still
-take. The residual check walks the core the same way with no seed: rooted
-at each core component in turn, taking only components of larger id, so
-each connected set of vol <= k is visited once, from its smallest id, until
-the first merge set. Past the root it cuts a branch by the same density
-bound over the core components the branch can still take.
+One walk, ESU (Wernicke 2006, "Efficient detection of network motifs"),
+serves both: it visits the connected sets that hold a seed, taking their
+other members from a candidate set. A set grows only from its extension
+list, which for the seed holds the seed's neighbours. Taking the entry c
+hands c's branch the entries after c plus c's exclusive neighbours, those
+neither in the set nor next to it; so each connected set holding the seed
+is visited once, and an entry passed over is not offered again below its
+later siblings. Only components that fit the room left are taken. By lemma
+1, `step` seeds the walk with the pair S and takes the warm components,
+those with deg >= alpha. At room <= 2, which covers every step at k <= 4,
+it visits S, each S+c, and for each c the sets S+c+d with d a later entry
+of S's list or a neighbour of c, so O(|N(S)| * max deg) sets, as |N(S)| <=
+2 * max deg. From room 3 up it takes only the warm core within room hops
+of S, peeled to a fan-in of room+1. By lemma 4, the residual check seeds
+the walk with each core component in turn and takes the core components
+of larger id, so each connected set of vol <= k is visited once, from its
+smallest id. There, and in the step from room 3 up, a branch of two or
+more members is cut by find_merge_set's density bound over the candidates
+it can still take.
 """
 
 import math
@@ -400,25 +400,26 @@ def _offer(best: Tuple[int, int, Tuple[int, ...]], card: int, com: int,
 
 
 def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
-                         nodes: Dict[int, List[int]], deg: Dict[int, int],
-                         seed: PairKey, k: int, alpha: int,
+                         nodes: Dict[int, List[int]], seed: Tuple[int, ...],
+                         k: int, alpha: int, take: Set[int],
                          heaviest: Optional[Dict[int, List[int]]] = None
                          ) -> Tuple[Tuple[int, ...], int]:
-    """find_merge_set's answer among the sets that hold the sorted pair
-    `seed` and whose members all reach it along members, and how many sets
-    it visited. The other members are components with deg >= alpha and,
-    given `heaviest`, among its keys.
+    """find_merge_set's answer among the sets that hold `seed`, one
+    component or a sorted pair, and whose members all reach it along
+    members, and how many sets it visited. The other members are taken from
+    `take`, which the walk does not change.
 
     The walk is ESU rooted at the seed (see the module docstring); each
     extension list entry carries its size and its weight into the set, so
     com follows by addition. `heaviest` maps each candidate to the prefix
-    sums of its heaviest weights to the others; given it, a branch is cut
-    by find_merge_set's density bound over what the branch can still take:
-    its extension list and the candidates not yet next to the set.
+    sums of its heaviest weights to the others; given it, a branch of two
+    or more members is cut by find_merge_set's density bound over what the
+    branch can still take: its extension list and the candidates not yet
+    next to the set.
     """
-    a, b = seed
-    ra, rb = nbrs.get(a, {}), nbrs.get(b, {})
-    room = k - len(nodes[a]) - len(nodes[b])
+    a, b = seed[0], seed[-1]            # b is a when the seed is one component
+    ra, rb = nbrs.get(a, {}), (nbrs.get(b, {}) if b != a else {})
+    room = k - len(nodes[a]) - (len(nodes[b]) if b != a else 0)
     com0 = ra.get(b, 0)
     best = (2, com0, seed) if room >= 0 and com0 >= alpha else (0, 0, ())
     if room <= 0:
@@ -430,10 +431,10 @@ def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
     def grow(chosen, ext, left, com):
         nonlocal best, visits
         card = len(chosen)
-        if heaviest is not None:
+        if heaviest is not None and card > 1:
             lifts = [2 * (g - alpha) + heaviest[d][left - 1]
                      for d, _, g in ext]
-            lifts += [heaviest[d][left - 1] - 2 * alpha for d in heaviest
+            lifts += [heaviest[d][left - 1] - 2 * alpha for d in take
                       if d not in blocked and len(nodes[d]) <= left]
             lifts.sort()
             if 2 * (com - (card - 1) * alpha) + sum(
@@ -460,9 +461,7 @@ def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
                             best = _offer(best, card + 2, new_com + h,
                                           chosen + (c, d))
                 for d, h in row.items():
-                    if d not in blocked and len(nodes[d]) == 1 and (
-                            deg[d] >= alpha
-                            and (heaviest is None or d in heaviest)):
+                    if d not in blocked and d in take and len(nodes[d]) == 1:
                         visits += 1
                         if h >= short:
                             best = _offer(best, card + 2, new_com + h,
@@ -474,87 +473,16 @@ def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
             sub = [(d, t, h + row.get(d, 0)) for d, t, h in ext[i + 1:]
                    if t <= rest]
             sub += [(d, t, row[d]) for d in fresh
-                    if (t := len(nodes[d])) <= rest and deg[d] >= alpha
-                    and (heaviest is None or d in heaviest)]
+                    if d in take and (t := len(nodes[d])) <= rest]
             blocked.update(fresh)
             grow(chosen + (c,), sub, rest, new_com)
             blocked.difference_update(fresh)
 
     grow(seed, [(d, t, ra.get(d, 0) + rb.get(d, 0)) for d in blocked
-                if d != a and d != b and (t := len(nodes[d])) <= room
-                and deg[d] >= alpha and (heaviest is None or d in heaviest)],
+                if d != a and d != b and d in take
+                and (t := len(nodes[d])) <= room],
          room, com0)
     return best[2], visits
-
-
-def _core_holds_merge_set(nbrs: Dict[int, Dict[int, int]],
-                          sizes: Dict[int, int], core: Set[int], k: int,
-                          alpha: int) -> Tuple[bool, int]:
-    """Whether some set of `core` components that is connected along its
-    members is a merge set, and how many sets the walk visited: ESU rooted
-    at each core component over larger ids, cut by density past the root
-    (see the module docstring). `nbrs` holds at least each core
-    component's weights into the core."""
-    heaviest = {c: _heaviest([w for d, w in nbrs[c].items() if d in core],
-                             k - 1) for c in core}
-    visits = 0
-
-    def grow(root, card, ext, left, com, blocked):
-        nonlocal visits
-        if card > 1:
-            lifts = [2 * (g - alpha) + heaviest[d][left - 1]
-                     for d, _, g in ext]
-            lifts += [heaviest[d][left - 1] - 2 * alpha for d in core
-                      if d > root and d not in blocked and sizes[d] <= left]
-            lifts.sort()
-            if 2 * (com - (card - 1) * alpha) + sum(
-                    lift for lift in lifts[-left:] if lift > 0) < 0:
-                return False
-        visits += len(ext)
-        need = card * alpha
-        for i, (c, s, g) in enumerate(ext):
-            new_com = com + g
-            if new_com >= need:
-                return True
-            rest = left - s
-            if rest <= 0:
-                continue
-            row = nbrs[c]
-            if rest == 1:
-                # each entry left has size 1 and fills the set: visit it here
-                short = need + alpha - new_com
-                for d, t, h in ext[i + 1:]:
-                    if t == 1:
-                        visits += 1
-                        if h + row.get(d, 0) >= short:
-                            return True
-                for d, h in row.items():
-                    if d > root and d not in blocked and d in core and (
-                            sizes[d] == 1):
-                        visits += 1
-                        if h >= short:
-                            return True
-                continue
-            fresh = row.keys() - blocked
-            sub = [(d, t, h + row.get(d, 0)) for d, t, h in ext[i + 1:]
-                   if t <= rest]
-            sub += [(d, t, row[d]) for d in fresh
-                    if d > root and d in core and (t := sizes[d]) <= rest]
-            blocked.update(fresh)
-            if grow(root, card + 1, sub, rest, new_com, blocked):
-                return True
-            blocked.difference_update(fresh)
-        return False
-
-    for root in sorted(core):
-        row, left = nbrs[root], k - sizes[root]
-        visits += 1
-        if grow(root, 1, [(d, t, w) for d, w in row.items()
-                          if d > root and d in core
-                          and (t := sizes[d]) <= left],
-                left, 0, {root}.union(row)):
-            return True, visits
-    return False, visits
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +536,12 @@ class ComponentRepartitioner:
         self.next_cid = self.n
 
         self.weights: Dict[PairKey, int] = {}
-        # weights and total weight per component, and the hot components:
-        # kept on each increment, rebuilt after merges and epoch ends
+        # weights and total weight per component, the warm components
+        # (deg >= alpha) and the hot ones: kept on each increment, rebuilt
+        # after merges and epoch ends
         self.nbrs: Dict[int, Dict[int, int]] = {}
         self.deg: Dict[int, int] = {}
+        self.warm: Set[int] = set()
         self.hot: Set[int] = set()
         self.pair_remote: Dict[PairKey, int] = {}
         self.comm_paid: Dict[int, int] = {v: 0 for v in range(self.n)}
@@ -643,9 +573,10 @@ class ComponentRepartitioner:
         return [self.capacity - occ[s] - res[s] for s in range(self.clusters)]
 
     def _index(self):
-        """Rebuild nbrs, deg and hot from the weights."""
+        """Rebuild nbrs, deg, warm and hot from the weights."""
         self.nbrs = _adjacency(self.weights, self.comp_nodes)
         self.deg = {c: sum(row.values()) for c, row in self.nbrs.items()}
+        self.warm = {c for c, d in self.deg.items() if d >= self.alpha}
         self.hot = {c for c, d in self.deg.items()
                     if d > self.alpha * len(self.comp_nodes[c])}
 
@@ -669,20 +600,23 @@ class ComponentRepartitioner:
             w = self.weights[key] = self.weights.get(key, 0) + 1
             self.nbrs.setdefault(cu, {})[cv] = w
             self.nbrs.setdefault(cv, {})[cu] = w
-            nodes, alpha, deg = self.comp_nodes, self.alpha, self.deg
+            nodes, alpha, deg, warm = (self.comp_nodes, self.alpha, self.deg,
+                                       self.warm)
             for c in key:
                 deg[c] = deg.get(c, 0) + 1
-                if deg[c] > alpha * len(nodes[c]):
-                    self.hot.add(c)
+                if deg[c] >= alpha:
+                    warm.add(c)
+                    if deg[c] > alpha * len(nodes[c]):
+                        self.hot.add(c)
             # lemma 1: every merge set is a connected superset of the seed
-            # whose other members have deg >= alpha; from room 3 up, the
-            # walk keeps to their core within `room` hops of the seed and
-            # cuts by density
+            # whose other members are warm; from room 3 up, the walk keeps
+            # to their core within `room` hops of the seed and cuts by
+            # density
             room = self.k - len(nodes[cu]) - len(nodes[cv])
-            heaviest = None
+            take, heaviest = warm, None
             if room > 2:
                 near = _within(self.nbrs, key, room, lambda c: (
-                    len(nodes[c]) <= room and deg[c] >= alpha))
+                    c in warm and len(nodes[c]) <= room))
                 if len(near) > 2:
                     near = _peel(near, self.nbrs, key, lambda c: alpha,
                                  lambda c: room + 1)
@@ -690,8 +624,9 @@ class ComponentRepartitioner:
                 heaviest = {c: _heaviest([x for d, x in self.nbrs[c].items()
                                           if d in near], room)
                             for c in near}
+                take = near
             merge_set, _ = _connected_merge_set(
-                self.nbrs, nodes, deg, key, self.k, alpha, heaviest)
+                self.nbrs, nodes, key, self.k, alpha, take, heaviest)
             if merge_set:
                 moves += self._merge(merge_set)
             # lemma 2: the minimum epoch set lies in the dense core of the
@@ -879,9 +814,18 @@ class ComponentRepartitioner:
             heavy = [c for c, row in small.items() if sum(row.values()) > alpha]
             core = _peel(heavy, small, (), lambda c: alpha + 1,
                          lambda c: k - sizes[c]) if len(heavy) > 2 else ()
-            # lemma 4: a merge set of minimum cardinality is connected
-            if len(core) < 3 or not _core_holds_merge_set(
-                    small, sizes, core, k, alpha)[0]:
+            if len(core) < 3:
+                return ()
+            # lemma 4: a merge set of minimum cardinality is connected, so
+            # the walk rooted at its smallest id, taking larger ids, finds it
+            heaviest = {c: _heaviest([w for d, w in small[c].items()
+                                      if d in core], k - 1) for c in core}
+            for root in sorted(core):
+                core.discard(root)
+                if _connected_merge_set(small, self.comp_nodes, (root,), k,
+                                        alpha, core, heaviest)[0]:
+                    break
+            else:
                 return ()
         live = _adjacency(self.weights, sizes)
         return find_merge_set({c: sizes[c] for c in live},

@@ -379,6 +379,8 @@ _INPUT_FILES = {
     ["run", "--alg", "null", "--source", "trace", "--n", "4", "--k", "2",
      "--l", "2", "--trace", "absent.csv"],
     ["run", "--config", "absent.cfg"],
+    ["run", "--alg", "null", "--source", "random", "--n", "4", "--k", "2",
+     "--l", "2", "--steps", "-5"],
 ])
 def test_bad_input_is_an_error(argv, tmp_path, monkeypatch, capsys):
     for name, text in _INPUT_FILES.items():

@@ -206,47 +206,77 @@ def test_residual_check_walks_the_core_from_every_root():
     assert _residual(3, 3, sizes, CORE_WEIGHTS) == (2, 3, 4)
 
 
-def test_core_walk_visits_each_connected_set_once():
-    # With no merge set in the core the walk visits every connected set of
-    # vol <= k exactly once, from its smallest id: a walk that also took
-    # ids below its root would visit some of them again.
+def _core_walks(monkeypatch):
+    """The residual check's walks as they run: for each walk seeded by one
+    component, its root, a copy of the candidates it may take and what it
+    returned."""
+    walk = components._connected_merge_set
+    walks = []
+
+    def recorded(nbrs, nodes, seed, k, alpha, take, heaviest=None):
+        out = walk(nbrs, nodes, seed, k, alpha, take, heaviest)
+        if len(seed) == 1:
+            walks.append((seed[0], set(take), out))
+        return out
+
+    monkeypatch.setattr(components, "_connected_merge_set", recorded)
+    return walks
+
+
+def test_core_walk_visits_each_connected_set_once(monkeypatch):
+    # A 5-cycle of weight 2 with the chord 1-3 at 1: each component keeps a
+    # fan-in of 2 + 2 > alpha = 3, so all five form the core, and no triangle
+    # reaches com 6, so the core holds no merge set. The walks then visit
+    # every connected set of vol <= k exactly once, from its smallest id: a
+    # walk that also took ids below its root would visit some of them again.
     sizes = dict.fromkeys(range(1, 6), 1)
-    weights = dict(CORE_WEIGHTS)
-    weights[(3, 4)] = 1
-    nbrs = _adjacency(weights, sizes)
+    weights = {(1, 2): 2, (2, 3): 2, (3, 4): 2, (4, 5): 2, (1, 5): 2,
+               (1, 3): 1}
     holds, count = naive_core_merge_set(sizes, weights, set(sizes), 3, 3)
     assert (holds, count) == (False, 18)
-    assert components._core_holds_merge_set(
-        nbrs, sizes, set(sizes), 3, 3) == (False, 18)
+    walks = _core_walks(monkeypatch)
     assert _residual(3, 3, sizes, weights) == ()
+    assert [root for root, _, _ in walks] == [1, 2, 3, 4, 5]
+    assert sum(out[1] for _, _, out in walks) == 18
 
 
-def test_core_walk_agrees_with_connected_enumeration():
-    # On arbitrary graphs and cores: the same answer as the enumeration, and
-    # at most one visit per connected set of vol <= k. Below k = 4 no set
-    # past the root has room to grow by more than one member, so no density
-    # cut runs, and when no merge set stops the walk early it visits each
-    # of those sets. Weights redrawn below alpha leave larger cores with no
-    # merge set to walk through.
+def test_core_walk_agrees_with_connected_enumeration(monkeypatch):
+    # On arbitrary graphs: the residual check walks its core from each
+    # component in id order, taking larger ids only, until a walk answers;
+    # one does iff some connected set of the core is a merge set; and the
+    # walks visit each connected set of vol <= k at most once. Below k = 4
+    # no set past the root has room to grow by more than one member, so no
+    # density cut runs, and when no walk answers they visit each of those
+    # sets. Each pair that fits in k weighs below alpha, so no pair
+    # qualifies and every core of three or more gets walked; k = 3, where
+    # the walks run uncut, is drawn twice as often as the others.
     rng = random.Random(700)
+    walks = _core_walks(monkeypatch)
     hits = walked = 0
-    for i in range(900):
-        k = rng.randint(2, 6)
-        alpha = rng.randint(1, 3)
+    for i in range(1800):
+        k = rng.choice((3, 3, 4, 5, 6))
+        alpha = rng.randint(2, 5)
         if i % 2:
             sizes, weights = random_component_graph(rng, k)
         else:
             sizes, weights = dense_component_graph(rng, k, alpha)
-        top = rng.choice((max(alpha - 1, 1), alpha + 1, 3 * alpha))
-        weights = {key: rng.randint(1, top) for key in weights}
-        nbrs = _adjacency(weights, sizes)
-        if not nbrs:
+        top = rng.choice((alpha + 1, 3 * alpha))
+        weights = {(a, b): rng.randint(
+            1, alpha - 1 if sizes[a] + sizes[b] <= k else top)
+            for a, b in weights}
+        walks.clear()
+        _residual(k, alpha, sizes, weights)
+        if not walks:
             continue
-        core = set(rng.sample(sorted(nbrs), rng.randint(1, len(nbrs))))
+        root, take, _ = walks[0]
+        core = take | {root}
+        assert [r for r, _, _ in walks] == sorted(core)[:len(walks)]
+        assert all(t == {c for c in core if c > r} for r, t, _ in walks)
         holds, count = naive_core_merge_set(sizes, weights, core, k, alpha)
-        got, visits = components._core_holds_merge_set(nbrs, sizes, core, k,
-                                                       alpha)
-        assert got == holds, (k, alpha, sizes, weights, core)
+        answers = [bool(out[0]) for _, _, out in walks]
+        assert answers == [False] * (len(walks) - 1) + [holds], (
+            k, alpha, sizes, weights, core)
+        visits = sum(out[1] for _, _, out in walks)
         assert visits <= count
         if k <= 3 and not holds:
             assert visits == count
@@ -259,25 +289,22 @@ def test_core_walk_cuts_by_density(monkeypatch):
     # On a random k = 8, alpha = 3 run the cores hold about 20 components;
     # without the density cut their walks visit over a hundred times as
     # many sets.
-    calls, visits = [], []
-    walk = components._core_holds_merge_set
-
-    def counted(*args):
-        out = walk(*args)
-        calls.append(len(args[2]))
-        visits.append(out[1])
-        return out
-
-    monkeypatch.setattr(components, "_core_holds_merge_set", counted)
+    walks = _core_walks(monkeypatch)
+    cores, visits = [], 0
     p = Params(32, 8, 4, alpha=3, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
 
     def check(t, config, req, comm, mig):
+        nonlocal visits
+        walks.clear()
         assert alg.residual_merge_set() == ()
+        if walks:
+            cores.append(len(walks[0][1]) + 1)
+            visits += sum(out[1] for _, _, out in walks)
 
     run(alg, RandomPairs(7, 32, 300), p, alg.start, 300, observer=check)
-    assert len(calls) >= 40 and sum(calls) >= 20 * len(calls)
-    assert sum(visits) <= 25872
+    assert len(cores) >= 40 and sum(cores) >= 20 * len(cores)
+    assert visits <= 25872
 
 
 @st.composite
@@ -326,16 +353,16 @@ def _walk(sizes, weights, k, alpha, seed, bound=False):
     """The step's merge walk on a standalone graph; with `bound`, cut by
     density over every candidate."""
     nbrs = _adjacency(weights, sizes)
-    deg = {c: sum(row.values()) for c, row in nbrs.items()}
+    warm = {c for c, row in nbrs.items() if sum(row.values()) >= alpha}
     room = k - sizes[seed[0]] - sizes[seed[1]]
     heaviest = None
     if bound and room > 0:
-        pool = {c for c in nbrs if c not in seed and deg[c] >= alpha}
-        heaviest = {c: _heaviest([w for d, w in nbrs[c].items() if d in pool],
-                                 room) for c in pool}
+        warm.difference_update(seed)
+        heaviest = {c: _heaviest([w for d, w in nbrs[c].items() if d in warm],
+                                 room) for c in warm}
     return components._connected_merge_set(
-        nbrs, {c: [c] * size for c, size in sizes.items()}, deg, seed, k,
-        alpha, heaviest)
+        nbrs, {c: [c] * size for c, size in sizes.items()}, seed, k, alpha,
+        warm, heaviest)
 
 
 def test_merge_walk_agrees_with_connected_enumeration():
@@ -392,13 +419,13 @@ def test_merge_walk_matches_the_ball_search(monkeypatch):
     walk = components._connected_merge_set
     seen = []
 
-    def checked(nbrs, nodes, deg, seed, k, alpha, heaviest=None):
-        got = walk(nbrs, nodes, deg, seed, k, alpha, heaviest)
+    def checked(nbrs, nodes, seed, k, alpha, take, heaviest=None):
+        got = walk(nbrs, nodes, seed, k, alpha, take, heaviest)
         room = k - len(nodes[seed[0]]) - len(nodes[seed[1]])
         ball = set(seed)
         if room > 0:
             ball = _within(nbrs, seed, room, lambda c: (
-                len(nodes[c]) <= room and deg[c] >= alpha))
+                len(nodes[c]) <= room and sum(nbrs[c].values()) >= alpha))
             ball = _peel(ball, nbrs, seed, lambda c: alpha, lambda c: room + 1)
         state = SimpleNamespace(comp_nodes=nodes, nbrs=nbrs)
         assert got[0] == find_merge_set(
@@ -665,6 +692,7 @@ def _same_state(alg, ref):
     deg = {c: sum(row.values()) for c, row in nbrs.items()}
     assert alg.nbrs == nbrs
     assert alg.deg == deg
+    assert alg.warm == {c for c, d in deg.items() if d >= alg.alpha}
     assert alg.hot == {c for c, d in deg.items()
                        if d > alg.alpha * len(alg.comp_nodes[c])}
 
@@ -825,10 +853,12 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
               "fallback": 0, "walk visits": 0, "core walk visits": 0}
     checking = []
 
-    def visits_of(name, walk):
+    def visits_of(walk):
+        # the step seeds its walk with a pair, the residual check with a root
         def call(*args):
             out = walk(*args)
-            counts[name] += out[1]
+            counts["walk visits" if len(args[2]) == 2
+                   else "core walk visits"] += out[1]
             return out
         return call
 
@@ -856,9 +886,7 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     monkeypatch.setattr(ComponentRepartitioner, "residual_merge_set",
                         residual)
     monkeypatch.setattr(components, "_connected_merge_set", visits_of(
-        "walk visits", components._connected_merge_set))
-    monkeypatch.setattr(components, "_core_holds_merge_set", visits_of(
-        "core walk visits", components._core_holds_merge_set))
+        components._connected_merge_set))
     p = Params(16, 4, 4, alpha=3, delta=4)
     moved = 0
     for src in (PlantedPartition(11, p, 0.9, 0.1, steps=1000),
