@@ -196,14 +196,17 @@ def cmd_run(spec: RunSpec, spaces: Optional[Spaces] = None) -> dict:
             for line in transcript.step_lines():
                 fh.write(line + "\n")
         report["steps_path"] = steps_path
-        with open(spec.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_report(spec.out, report)
     return report
 
 
+def _write_report(path: str, report: dict):
+    with open(path, "w") as fh:   # as main prints it
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
 class _VerifyAbort(Exception):
-    """Stops the engine loop once a per-step check has failed."""
+    """Carries a failed per-step check's text out of the engine loop."""
 
 
 def cmd_verify(spec: RunSpec, tamper: Optional[Callable] = None) -> Tuple[int, str]:
@@ -214,35 +217,34 @@ def cmd_verify(spec: RunSpec, tamper: Optional[Callable] = None) -> Tuple[int, s
     """
     if spec.alg not in ("greedy", "components"):
         raise ValueError("verify covers greedy and components runs")
-    failure: List[str] = []
+    if spec.out:
+        raise ValueError("verify writes no report; drop --out")
 
+    # a check that fails raises: stepping a corrupted algorithm can only crash
     def observe(alg):
         def observer(t, config, req, comm, mig):
             if tamper is not None:
                 tamper(t, alg)
             if isinstance(alg, ComponentRepartitioner):
                 errs = alg.check_invariants(config)
-                if not errs and len(alg.residual_merge_set()) > 1:
+                if not errs and alg.residual_merge_set():
                     errs = ["qualifying merge set survived the step"]
                 if errs:
-                    failure.append("step %d\n%s\n%s"
-                                   % (t, "\n".join(errs), alg.dump_state()))
+                    raise _VerifyAbort("step %d\n%s\n%s" % (
+                        t, "\n".join(errs), alg.dump_state()))
             else:
+                # a swap resets every counter that reaches the cap
                 cap = alg.lam * spec.alpha
-                hot = [c for c, w in alg.out_counts.items() if w > cap]
+                hot = [c for c, w in alg.out_counts.items() if w >= cap]
                 if hot:
-                    failure.append(
-                        "step %d\ncluster counters over %d: %s"
-                        % (t, cap, sorted(hot)))
-            if failure:
-                # stepping a corrupted algorithm any further can only crash
-                raise _VerifyAbort
+                    raise _VerifyAbort("step %d\ncluster counters reached "
+                                       "%d: %s" % (t, cap, sorted(hot)))
         return observer
 
     try:
         transcript, _, _ = execute(spec, observe)
-    except _VerifyAbort:
-        return 1, "FAIL %s\n%s" % (spec.alg, failure[0])
+    except _VerifyAbort as failure:
+        return 1, "FAIL %s\n%s" % (spec.alg, failure)
     return 0, "PASS %s: %d steps, all per-step checks hold" % (
         spec.alg, len(transcript.steps))
 
@@ -288,9 +290,12 @@ def cmd_compare(spec: RunSpec, algs: List[str]) -> dict:
         report = cmd_run(cell, spaces)
         runs[alg] = {key: report[key] for key in
                      ("on_total", "on_comm", "on_mig", "off_total", "ratio")}
-    return {"source": spec.source, "n": spec.n, "k": spec.k, "l": spec.l,
-            "alpha": spec.alpha, "seed": spec.seed, "steps": spec.steps,
-            "runs": runs}
+    report = {"source": spec.source, "n": spec.n, "k": spec.k, "l": spec.l,
+              "alpha": spec.alpha, "seed": spec.seed, "steps": spec.steps,
+              "runs": runs}
+    if spec.out:
+        _write_report(spec.out, report)
+    return report
 
 
 # ---------------------------------------------------------------------------

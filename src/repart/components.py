@@ -73,9 +73,9 @@ the same set. `step` relies on lemmas 1 and 2 and so on the invariant that
 `residual_merge_set` checks after every step; that check relies on lemmas 3
 and 4 only. With no qualifying pair, a merge set of minimum cardinality
 lies in the core (lemma 3) and is connected (lemma 4), so the check asks
-only whether the core's connected sets hold a merge set. Whenever a pair
-qualifies or they hold one, it falls back to find_merge_set over all
-components with weight, so it returns what that search returns.
+only whether the core's connected sets hold a merge set. It returns the
+first witness it meets, a qualifying pair or a set a core walk found, not
+the largest merge set, so no search beyond that walk ever runs.
 
 One walk, ESU (Wernicke 2006, "Efficient detection of network motifs"),
 serves both: it visits the connected sets that hold a seed, taking their
@@ -785,51 +785,44 @@ class ComponentRepartitioner:
     # -- inspection ---------------------------------------------------------
 
     def residual_merge_set(self) -> Tuple[int, ...]:
-        """Generic merge search restricted to weight-bearing components.
+        """A merge set of the current state, or () when none exists.
 
         Empty means the state is merge-exhausted, as it must be after every
         completed step. By lemma 3 a merge set exists iff a pair qualifies
         or the core holds one, and by lemma 4 the core holds one iff one of
-        its connected sets is one, so the common empty answer costs one
-        pass over the weights and a walk of the core; otherwise the search
-        runs over every component with positive weight (isolated ones only
-        raise the cardinality requirement).
+        its connected sets is one, so the answer costs one pass over the
+        weights and a walk of the core. The witness is the first qualifying
+        pair of that pass, or else the first set a core walk finds.
         """
         # from the weights, not from self.nbrs: the check trusts no derived state
         sizes = {c: len(nodes) for c, nodes in self.comp_nodes.items()}
         k, alpha = self.k, self.alpha
         small: Dict[int, Dict[int, int]] = {}   # weights among sizes <= k-2
-        pair = False
         for (a, b), w in self.weights.items():
             if w <= 0 or a >= b or a not in sizes or b not in sizes:
                 continue
             if w >= alpha and sizes[a] + sizes[b] <= k:
-                pair = True
-                break
+                return a, b
             if sizes[a] <= k - 2 and sizes[b] <= k - 2:
                 small.setdefault(a, {})[b] = w
                 small.setdefault(b, {})[a] = w
-        if not pair:
-            # only components with more than alpha weight survive the peel
-            heavy = [c for c, row in small.items() if sum(row.values()) > alpha]
-            core = _peel(heavy, small, (), lambda c: alpha + 1,
-                         lambda c: k - sizes[c]) if len(heavy) > 2 else ()
-            if len(core) < 3:
-                return ()
-            # lemma 4: a merge set of minimum cardinality is connected, so
-            # the walk rooted at its smallest id, taking larger ids, finds it
-            heaviest = {c: _heaviest([w for d, w in small[c].items()
-                                      if d in core], k - 1) for c in core}
-            for root in sorted(core):
-                core.discard(root)
-                if _connected_merge_set(small, self.comp_nodes, (root,), k,
-                                        alpha, core, heaviest)[0]:
-                    break
-            else:
-                return ()
-        live = _adjacency(self.weights, sizes)
-        return find_merge_set({c: sizes[c] for c in live},
-                              self.weights, k, alpha)
+        # only components with more than alpha weight survive the peel
+        heavy = [c for c, row in small.items() if sum(row.values()) > alpha]
+        core = _peel(heavy, small, (), lambda c: alpha + 1,
+                     lambda c: k - sizes[c]) if len(heavy) > 2 else ()
+        if len(core) < 3:
+            return ()
+        # lemma 4: a merge set of minimum cardinality is connected, so the
+        # walk rooted at its smallest id, taking larger ids, finds one
+        heaviest = {c: _heaviest([w for d, w in small[c].items()
+                                  if d in core], k - 1) for c in core}
+        for root in sorted(core):
+            core.discard(root)
+            found = _connected_merge_set(small, self.comp_nodes, (root,), k,
+                                         alpha, core, heaviest)[0]
+            if found:
+                return found
+        return ()
 
     def check_invariants(self, config: Optional[Configuration] = None) -> List[str]:
         errs = list(self.violations)

@@ -304,6 +304,27 @@ def test_compare_runs_each_algorithm(capsys):
     assert naive["on_total"] <= null["on_total"] + 100  # both ran end to end
 
 
+def test_compare_writes_the_report_it_prints(tmp_path, capsys):
+    out = tmp_path / "cmp.json"
+    assert cli.main(["compare", "--alg", "greedy,null", "--out", str(out)]
+                    + _COMPARE) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    assert set(json.loads(printed)["runs"]) == {"greedy", "null"}
+
+
+def test_verify_with_out_is_an_error(tmp_path, capsys):
+    # verify writes no report, so --out would be silently dropped
+    out = tmp_path / "ver.json"
+    assert cli.main(["verify", "--alg", "greedy", "--source", "random",
+                     "--n", "8", "--k", "2", "--l", "4", "--steps", "20",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verify writes no report; drop --out\n"
+    assert not out.exists()
+
+
 def test_pair_chase_without_a_cluster_mate_is_an_error(capsys):
     # the component algorithm's doubled clusters are half empty, so the
     # chased node can sit alone and the chase has no mate to follow

@@ -149,11 +149,21 @@ def test_seeded_searches_agree_with_naive_enumeration():
     assert hits > 50
 
 
+def _assert_merge_set(alg, found):
+    """`found` is a merge set of the algorithm's state, read from its node
+    lists and its weights: |X| >= 2, vol <= k and com >= (|X|-1)*alpha."""
+    card = len(set(found))
+    assert card == len(found) >= 2, found
+    assert sum(len(alg.comp_nodes[c]) for c in found) <= alg.k, found
+    assert internal_weight(found, alg.weights) >= (card - 1) * alg.alpha, found
+
+
 def test_residual_check_agrees_with_naive_enumeration():
     # the residual check on arbitrary graphs, not only on reachable states:
     # components of sizes 1..k get the graph's weights, and the answer must
-    # be the naive search over the components that carry any weight. Weights
-    # below alpha leave no qualifying pair, so only the core can hold one.
+    # be empty exactly when the naive search over the components that carry
+    # any weight is, and a merge set otherwise. Weights below alpha leave no
+    # qualifying pair, so only the core can hold one.
     rng = random.Random(500)
     found = in_core = 0
     for i in range(900):
@@ -173,7 +183,10 @@ def test_residual_check_agrees_with_naive_enumeration():
         live = {c: size for c, size in sizes.items()
                 if any(c in key for key in weights)}
         expected = naive_merge_set(live, weights, k, alpha)
-        assert alg.residual_merge_set() == expected, (k, alpha, sizes, weights)
+        got = alg.residual_merge_set()
+        assert bool(got) == bool(expected), (k, alpha, sizes, weights)
+        if got:
+            _assert_merge_set(alg, got)
         found += len(expected) > 1
         pairless = not any(w >= alpha and sizes[a] + sizes[b] <= k
                            for (a, b), w in weights.items())
@@ -730,7 +743,10 @@ def test_narrowed_searches_match_the_full_reference(case, data):
     for a, b, w in data.draw(pair):
         key = (min(a, b), max(a, b))
         alg.weights[key] = ref.weights[key] = w
-    assert alg.residual_merge_set() == ref.residual_merge_set()
+    got = alg.residual_merge_set()
+    assert bool(got) == bool(ref.residual_merge_set())
+    if got:
+        _assert_merge_set(alg, got)
 
 
 @settings(max_examples=100, deadline=None)
@@ -846,12 +862,10 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     # A guard without timings: on one seeded grid-shaped run under the
     # per-step checks, dropping a seed-only decision, a fan-in bound, the
     # walk's cuts or the core walk's root order raises one of these counts
-    # above what the shortcuts reach. The step walks its merge sets and
-    # calls no find_merge_set; the residual check walks its core and calls
-    # find_merge_set (its fallback) only when a merge set exists.
+    # above what the shortcuts reach. The step walks its merge sets and the
+    # residual check walks its core; neither calls find_merge_set.
     counts = {"find_merge_set": 0, "find_epoch_set": 0, "_subgraph": 0,
-              "fallback": 0, "walk visits": 0, "core walk visits": 0}
-    checking = []
+              "walk visits": 0, "core walk visits": 0}
 
     def visits_of(walk):
         # the step seeds its walk with a pair, the residual check with a root
@@ -864,27 +878,16 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
 
     def counted(name, fn):
         def call(*args, **kwargs):
-            counts["fallback" if checking and name == "find_merge_set"
-                   else name] += 1
+            counts[name] += 1
             return fn(*args, **kwargs)
         return call
 
-    def residual(alg):
-        checking.append(True)
-        try:
-            return residual_check(alg)
-        finally:
-            checking.pop()
-
-    residual_check = ComponentRepartitioner.residual_merge_set
     monkeypatch.setattr(components, "find_merge_set",
                         counted("find_merge_set", find_merge_set))
     monkeypatch.setattr(components, "find_epoch_set",
                         counted("find_epoch_set", find_epoch_set))
     monkeypatch.setattr(ComponentRepartitioner, "_subgraph", counted(
         "_subgraph", ComponentRepartitioner._subgraph))
-    monkeypatch.setattr(ComponentRepartitioner, "residual_merge_set",
-                        residual)
     monkeypatch.setattr(components, "_connected_merge_set", visits_of(
         components._connected_merge_set))
     p = Params(16, 4, 4, alpha=3, delta=4)
@@ -904,8 +907,32 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     assert counts["walk visits"] <= 15058
     assert counts["find_epoch_set"] <= 459
     assert counts["_subgraph"] <= 1054
-    assert counts["fallback"] == 0
     assert counts["core walk visits"] <= 2918
+
+
+def test_residual_check_on_corrupted_states_runs_no_full_search(monkeypatch):
+    # A k = 8 run with four of its weights redrawn in 1..6 holds merge sets
+    # of up to 8 members, which find_merge_set over every component with
+    # weight takes up to a second to rank. The check returns the first
+    # witness it meets instead, a pair there and a core walk's set on
+    # CORE_WEIGHTS, and never calls that search.
+    calls = []
+    monkeypatch.setattr(components, "find_merge_set",
+                        lambda *args, **kwargs: calls.append(args))
+    p = Params(32, 8, 4, alpha=2, delta=4)
+    alg = ComponentRepartitioner(p, contiguous_configuration(p))
+    run(alg, RandomPairs(1, 32, 1000), p, alg.start, 1000)
+    assert alg.residual_merge_set() == ()
+    clean = dict(alg.weights)
+    for draw in range(8):
+        rng = random.Random(draw)
+        alg.weights = dict(clean)
+        for key in rng.sample(sorted(clean), 4):
+            alg.weights[key] = rng.randint(1, 6)
+        _assert_merge_set(alg, alg.residual_merge_set())
+    sizes = dict.fromkeys(range(1, 6), 1)
+    assert _residual(3, 3, sizes, CORE_WEIGHTS) == (2, 3, 4)
+    assert calls == []
 
 
 def test_invariants_hold_across_random_runs():
