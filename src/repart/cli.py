@@ -142,7 +142,7 @@ def _offline_cost(spec: RunSpec, transcript: engine.Transcript,
     shape = (spec.n, spec.k, spec.l, spec.alpha)
     try:
         if shape not in spaces:
-            spaces.clear()  # one m^2 transition matrix alive at a time
+            spaces.clear()  # one space and its neighbour masks alive at a time
             spaces[shape] = offline.PartitionSpace(spec.params())
         args = (spec.params(), initial_for(spec), spaces[shape])
         if spec.oracle == "static":

@@ -863,18 +863,21 @@ class ComponentRepartitioner:
             elif size is None:
                 reserve_errs.append("reservation keyed to dead component %d"
                                     % cid)
-        reserve_errs.extend("component %d has no reservation" % cid
-                            for cid in sizes if cid not in self.comp_reserved)
-        reserve_errs.extend("component %d has no payment record" % cid
-                            for cid in sizes if cid not in self.comm_paid)
+        if not sizes.keys() <= self.comp_reserved.keys():
+            reserve_errs.extend("component %d has no reservation" % cid for cid
+                                in sizes if cid not in self.comp_reserved)
+        if not sizes.keys() <= self.comm_paid.keys():
+            reserve_errs.extend("component %d has no payment record" % cid
+                                for cid in sizes if cid not in self.comm_paid)
         if sum(occ) != self.n:
             errs.append("occupancy sums to %d, not %d" % (sum(occ), self.n))
-        for s in range(self.clusters):
-            if occ[s] + res[s] > self.capacity:
-                errs.append("cluster %d over capacity: o=%d r=%d"
-                            % (s, occ[s], res[s]))
-        if max(self.capacity - occ[s] - res[s]
-               for s in range(self.clusters)) < k:
+        spare = False
+        for s, (o, r) in enumerate(zip(occ, res)):
+            free = self.capacity - o - r
+            if free < 0:
+                errs.append("cluster %d over capacity: o=%d r=%d" % (s, o, r))
+            spare = spare or free >= k
+        if not spare:
             errs.append("no cluster keeps k spare slots")
         errs += reserve_errs
         for (a, b), w in self.weights.items():
@@ -896,9 +899,13 @@ class ComponentRepartitioner:
         errs += move_errs
         if config is not None:
             placed = config.assignment
-            errs.extend("node %d placement disagrees with engine" % node
-                        for node in range(self.n)
-                        if placed[node] != where[comp_of[node]])
+            # from a list, as tuple(map(...)) grows by resizing, and each
+            # resized tuple lingers in CPython's free list once dropped
+            want = tuple([where[c] for c in comp_of])
+            if placed != want:
+                errs.extend("node %d placement disagrees with engine" % node
+                            for node in range(self.n)
+                            if placed[node] != want[node])
         return errs
 
     def dump_state(self) -> str:

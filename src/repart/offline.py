@@ -6,20 +6,24 @@ Transition costs between states come from core.min_migration_cost, so two
 partitions that differ only by cluster labels are the same state at
 distance zero.
 
-The cost between two partitions depends only on their overlap matrix
-(|A_r & B_c|) over blocks A_r and B_c, and as every block holds k nodes
-the first ell-1 rows fix it. `PartitionSpace` keeps blocks as bitmasks and
-memoises costs by those rows with the columns sorted, so the assignment
-solver runs once per overlap matrix up to the order of its columns rather
-than once per pair of states.
+The cost T[s][t] between two partitions depends only on their overlap
+matrix (|A_r & B_c|) over blocks A_r and B_c, and as every block holds k
+nodes the first ell-1 rows fix it. `PartitionSpace.row` keeps blocks as
+bitmasks and memoises costs by those rows with the columns sorted, so the
+assignment solver runs once per overlap matrix up to the order of its
+columns rather than once per pair of states.
 
-Only row 0 of the matrix goes through that memo. A permutation g of the
-nodes maps each state to a state and keeps every overlap matrix, so
+No m x m matrix is built: only row 0 goes through that memo, and the
+neighbour masks of every state come from it. A permutation g of the nodes
+maps each state to a state and keeps every overlap matrix, so
 T[g(w)][g(t)] = T[w][t]. The adjacent transpositions (a a+1) generate the
 symmetric group S_n, which acts transitively on the balanced partitions,
 so a breadth-first walk from state 0 along them reaches every state; and
-as each transposition g is its own inverse, the row of g(w) is the row of
-w read in the order of g: T[g(w)][t] = T[w][g(t)].
+as each transposition g is its own inverse, the costs out of g(w) are
+those out of w read in the order of g: T[g(w)][t] = T[w][g(t)]. The walk
+keeps each reached state's costs over alpha as one byte string, gathers
+the string of g(w) from that of w, and reads the masks of each cost out of
+it before dropping it.
 
 `WorkFunction` maintains the work function of a metrical task system
 (Borodin, Linial & Saks 1992; Chrobak & Larmore 1992). Its value vector x
@@ -63,10 +67,11 @@ from .core import (
     min_migration_cost,
 )
 
-# The transition matrix has m^2 entries. On a 2-core Xeon, m=1716 (n=14,
-# k=7) builds in 0.14-0.18 s and 24 MB, and its neighbour masks (three costs,
-# m masks of m bits each) take 1.3 MB more; the next space, m=5775 (n=12,
-# k=4), builds in 1.4 s but takes about 264 MB, so memory sets the cap.
+# No m x m matrix is kept: the neighbour masks take one m-bit mask per state
+# and distinct cost. On a 2-core Xeon, m=1716 (n=14, k=7) builds its masks
+# cold in 0.12-0.13 s with a 3.4 MB traced peak, 1.4 MB kept; the next space,
+# m=5775 (n=12, k=4), would take 1.7 s and 33 MB. The cap stays where the
+# full matrix once put it, so the same commands fail with TooLarge.
 PARTITION_CAP = 2000
 
 Partition = Tuple[Tuple[int, ...], ...]
@@ -146,7 +151,6 @@ class PartitionSpace:
                                    for p in self.partitions]))
         self._cost_by_overlap: Dict[Tuple[int, ...], int] = {}
         self._sides: Dict[Tuple[int, int], Tuple[List[int], int]] = {}
-        self._trans: Optional[List[List[int]]] = None
         self._near: Optional[Dict[int, List[int]]] = None
 
     def __len__(self):
@@ -172,8 +176,6 @@ class PartitionSpace:
 
     def row(self, i: int) -> List[int]:
         """Transition costs from state i to every state."""
-        if self._trans is not None:
-            return self._trans[i]
         # code(B) packs the overlaps |A_r & B| with i's blocks A_r, r < ell-1,
         # into fields `width` bits wide; a state's key is its blocks' codes,
         # sorted, as relabeling the target's blocks keeps the cost
@@ -201,55 +203,59 @@ class PartitionSpace:
                     out[j] = memo[key]
         return out
 
-    def transitions(self) -> List[List[int]]:
-        """The full matrix: row 0 from the overlap memo, every other row a
-        permuted copy of a row already built; see the module docstring."""
-        if self._trans is None:
-            columns = list(zip(*self._columns))     # state -> its block ids
-            state = {frozenset(ids): s for s, ids in enumerate(columns)}
-            mask_id = {b: i for i, b in enumerate(self._masks)}
-            swaps = []  # (g, getter): g[t] is state t with nodes a, a+1 swapped
-            for a in range(self.params.n - 1):
-                pair = 3 << a   # block i with nodes a, a+1 swapped is moved[i]
-                moved = [i if (b & pair) in (0, pair) else mask_id[b ^ pair]
-                         for i, b in enumerate(self._masks)]
-                g = [state[frozenset(map(moved.__getitem__, ids))]
-                     for ids in columns]
-                # at m = 1 the getter returns a scalar, but then copies no row
-                swaps.append((g, itemgetter(*g)))
-            trans: List[Optional[List[int]]] = [None] * len(self)
-            trans[0] = self.row(0)
-            reached = [0]
-            for w in reached:
-                for g, permuted in swaps:
-                    c = g[w]
-                    if trans[c] is None:
-                        # T[g(w)][t] = T[w][g(t)], as g is its own inverse
-                        trans[c] = list(permuted(trans[w]))
-                        reached.append(c)
-            self._trans = trans
-        return self._trans
+    def transitions(self) -> Dict[int, List[int]]:
+        """The neighbour masks of `near()`, built afresh: row 0 from the
+        overlap memo, every other state's costs a permuted copy of a state's
+        already built; see the module docstring. `near()` keeps the result;
+        perfbench's traced run times this build as `offline.transitions`."""
+        m, alpha = len(self), self.params.alpha
+        columns = list(zip(*self._columns))     # state -> its block ids
+        state = {frozenset(ids): s for s, ids in enumerate(columns)}
+        mask_id = {b: i for i, b in enumerate(self._masks)}
+        swaps = []  # (g, gather): g[t] is state t with nodes a, a+1 swapped
+        for a in range(self.params.n - 1):
+            pair = 3 << a   # block i with nodes a, a+1 swapped is moved[i]
+            moved = [i if (b & pair) in (0, pair) else mask_id[b ^ pair]
+                     for i, b in enumerate(self._masks)]
+            g = [state[frozenset(map(moved.__getitem__, ids))]
+                 for ids in columns]
+            # byte p of a code is state m-1-p; at m = 1 the getter returns a
+            # scalar, but then copies no code
+            swaps.append((g, itemgetter(*[m - 1 - g[m - 1 - p]
+                                          for p in range(m)])))
+        row = self.row(0)
+        # every state's costs are a permutation of row 0's, so row 0 holds
+        # every distinct cost; each is alpha times a migration count below
+        # n, so a byte holds the count
+        costs = sorted(set(row) - {0})
+        near = {d: [0] * m for d in costs}
+        digits = []     # (masks of d, byte -> b"1" if it counts d else b"0")
+        for d in costs:
+            j = d // alpha
+            digits.append((near[d], b"0" * j + b"1" + b"0" * (255 - j)))
+        # codes[w] holds w's costs over alpha, reversed so that state s is
+        # bit s; it is dropped to b"" once w's masks and images are taken
+        codes: List[Optional[bytes]] = [None] * m
+        codes[0] = bytes(map(floordiv, reversed(row), itertools.repeat(alpha)))
+        reached = [0]
+        for w in reached:
+            code = codes[w]
+            codes[w] = b""
+            for masks, table in digits:
+                masks[w] = int(code.translate(table), 2)
+            for g, gather in swaps:
+                c = g[w]
+                if codes[c] is None:
+                    # T[g(w)][t] = T[w][g(t)], as g is its own inverse
+                    codes[c] = bytes(gather(code))
+                    reached.append(c)
+        return near
 
     def near(self) -> Dict[int, List[int]]:
         """near()[d][w] is the bitmask of the states at cost d from state w,
         for each distinct nonzero cost d, in increasing order of d."""
         if self._near is None:
-            trans, m, alpha = self.transitions(), len(self), self.params.alpha
-            # every row is a permutation of row 0, so row 0 holds every
-            # distinct cost; each is alpha times a migration count below n,
-            # so a byte holds the count
-            costs = sorted(set(trans[0]) - {0})
-            near = {d: [0] * m for d in costs}
-            digits = []     # (masks of d, byte -> b"1" if it counts d else b"0")
-            for d in costs:
-                j = d // alpha
-                digits.append((near[d], b"0" * j + b"1" + b"0" * (255 - j)))
-            for w, row in enumerate(trans):
-                # reversed, so that state s is bit s
-                code = bytes(map(floordiv, reversed(row), itertools.repeat(alpha)))
-                for masks, table in digits:
-                    masks[w] = int(code.translate(table), 2)
-            self._near = near
+            self._near = self.transitions()
         return self._near
 
 
@@ -277,11 +283,11 @@ class WorkFunction:
                  space: Optional[PartitionSpace] = None):
         self.space = space = _space_for(params, space)
         self.start = space.state_of(initial)
-        level: Dict[int, int] = {}
-        for s, v in enumerate(space.transitions()[self.start]):
-            level[v] = level.get(v, 0) | 1 << s
-        self.level = dict(sorted(level.items()))
-        self._near = space.near()
+        self._near = near = space.near()
+        # the row of the start state: cost d at near[d][start]; every row is
+        # a permutation of row 0, so no level is empty
+        self.level = {0: 1 << self.start}
+        self.level.update((d, masks[self.start]) for d, masks in near.items())
 
     @property
     def value(self) -> int:

@@ -7,7 +7,8 @@ runs the algorithm's searches over every component instead of the narrowed
 candidates, and checks its invariants with one loop per table. The placement and pair-counter references rebuild or scan
 everything on every call, and the offline references scan every pair of
 states on every request, as does the work function's closed-vector
-reference; the migration-distance reference tries every
+reference, and read the costs from a matrix built one row at a time by
+`transition_matrix`; the migration-distance reference tries every
 relabeling of the clusters. `rescan_peel` is the component peel that
 re-tests every candidate each round. `component_sizes` and `pair_counts`
 read an algorithm's state in the shape the tests compare. The ring rotations at
@@ -16,6 +17,7 @@ the end are a construction only the adversary tests use.
 
 import itertools
 import math
+import weakref
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repart.components import (
@@ -457,6 +459,19 @@ def serves(space, request, state):
     return 1 if b[request.u] != b[request.v] else 0
 
 
+_MATRICES = weakref.WeakKeyDictionary()     # space -> its transition matrix
+
+
+def transition_matrix(space: PartitionSpace) -> List[List[int]]:
+    """The m x m transition matrix, every row through `space.row` and so
+    through the overlap memo, with no relabeling; kept while the space
+    lives."""
+    trans = _MATRICES.get(space)
+    if trans is None:
+        trans = _MATRICES[space] = [space.row(i) for i in range(len(space))]
+    return trans
+
+
 def pairwise_transitions(space):
     """Every entry of the transition matrix from its own min_migration_cost."""
     k, ell = space.params.k, space.params.ell
@@ -477,7 +492,7 @@ def full_scan_optimal_cost(requests: Sequence[Request], params: Params,
     """
     if space is None:
         space = PartitionSpace(params)
-    trans = space.transitions()
+    trans = transition_matrix(space)
     m = len(space)
     start = space.state_of(initial)
     dist = [None] * m
@@ -516,7 +531,7 @@ def closed_vectors(requests: Sequence[Request], space: PartitionSpace,
     """The work function before the first request and after each one:
     entry s is the least cost of serving the prefix and then standing in
     state s, every entry a scan over every state."""
-    trans = space.transitions()
+    trans = transition_matrix(space)
     m = len(space)
     x = list(trans[space.state_of(initial)])
     out = [x]
@@ -534,7 +549,7 @@ def serve_scan_static_optimal(requests: Sequence[Request], params: Params,
     """Best single partition: pay once to reach it, then never move."""
     if space is None:
         space = PartitionSpace(params)
-    trans = space.transitions()
+    trans = transition_matrix(space)
     start = space.state_of(initial)
     best = None
     best_state = 0
@@ -556,7 +571,7 @@ def exhaustive_optimal(requests: Sequence[Request], params: Params,
         raise TooLarge("exhaustive search capped at 8 requests")
     if len(space) > 30:
         raise TooLarge("exhaustive search capped at 30 partitions")
-    trans = space.transitions()
+    trans = transition_matrix(space)
     start = space.state_of(initial)
     best = None
     for seq in itertools.product(range(len(space)), repeat=len(requests)):

@@ -191,17 +191,17 @@ def test_sweep_grid_and_error_column():
 
 def test_sweep_and_compare_build_one_space_per_shape(monkeypatch):
     built, spaces = [], []
-    transitions = offline.PartitionSpace.transitions
+    near = offline.PartitionSpace.near
 
     def counted(space):
-        if space._trans is None:
-            # the previous shape's space and its matrix are already freed
+        if space._near is None:
+            # the previous shape's space and its masks are already freed
             assert all(ref() is None for ref in spaces)
             built.append(space.params)
             spaces.append(weakref.ref(space))
-        return transitions(space)
+        return near(space)
 
-    monkeypatch.setattr(offline.PartitionSpace, "transitions", counted)
+    monkeypatch.setattr(offline.PartitionSpace, "near", counted)
     base = _spec(alg="naive", steps=30)
     text = cli.cmd_sweep(base, [2], [2, 4], [1], [0, 1, 2, 3])
     assert [(p.n, p.k, p.ell) for p in built] == [(4, 2, 2), (8, 2, 4)]

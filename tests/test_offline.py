@@ -1,9 +1,9 @@
 """Offline oracles: state space, dynamic program, bracketing strategies.
 
-The memoised transition matrix, its neighbour masks, the work function's
-bitmask sweep and the pair-counting static optimum are checked against the
-pairwise and full-scan references in oracles.py, and the matrix built by
-relabeling nodes against its rows built one at a time from overlaps.
+The memoised rows of transition costs, the neighbour masks built from row 0
+by relabeling nodes, the work function's bitmask sweep and the
+pair-counting static optimum are checked against the pairwise, per-row and
+full-scan references in oracles.py.
 """
 
 import itertools
@@ -21,6 +21,7 @@ from oracles import (
     full_scan_optimal_cost,
     pairwise_transitions,
     serve_scan_static_optimal,
+    transition_matrix,
 )
 from repart.core import Params, Request, TooLarge, contiguous_configuration, \
     min_migration_cost, new_configuration, serve_cost
@@ -180,7 +181,7 @@ def test_memoised_matrix_matches_pairwise(alpha):
     assert (9, 3, 3) in SMALL_SHAPES and (4, 1, 4) in SMALL_SHAPES
     for n, k, ell in SMALL_SHAPES:
         space = PartitionSpace(Params(n, k, ell, alpha=alpha))
-        trans = space.transitions()
+        trans = transition_matrix(space)
         assert trans == pairwise_transitions(space), (n, k, ell)
 
 
@@ -189,7 +190,7 @@ def test_matrix_is_a_metric():
     # and distinct states at least two moves apart
     for n, k, ell in SMALL_SHAPES:
         alpha = 2
-        trans = PartitionSpace(Params(n, k, ell, alpha=alpha)).transitions()
+        trans = transition_matrix(PartitionSpace(Params(n, k, ell, alpha=alpha)))
         m = len(trans)
         for i, row in enumerate(trans):
             assert row[i] == 0
@@ -244,7 +245,7 @@ def test_sweep_matches_full_scan(case):
     fresh = PartitionSpace(params)   # the static optimum builds one row only
     assert static_optimal(requests, params, initial, fresh) == \
         serve_scan_static_optimal(requests, params, initial, space)
-    assert fresh._trans is None
+    assert fresh._near is None
 
 
 def test_sweep_matches_full_scan_on_seeded_streams():
@@ -275,7 +276,7 @@ def test_sweep_matches_full_scan_at_large_alpha():
             space = _space(n, k, ell, alpha)
             params = space.params
             initial = contiguous_configuration(params)
-            assert max(space.transitions()[0]) > 255 or alpha < 300
+            assert max(space.row(0)) > 255 or alpha < 300
             streams = [_random_requests(rng, n, rng.randint(0, 30))
                        for _ in range(3)]
             if len(space) <= 35:
@@ -290,10 +291,13 @@ def test_sweep_matches_full_scan_at_large_alpha():
 
 @pytest.mark.parametrize("alpha", (1, 7, 300))
 def test_state_masks_match_a_scan_of_the_matrix(alpha):
+    # the masks built by relabeling against a scan of every row taken
+    # through the overlap memo; the one-state shapes copy no code
+    assert (4, 4, 1) in SMALL_SHAPES and (4, 1, 4) in SMALL_SHAPES
     for n, k, ell in SMALL_SHAPES:
         space = PartitionSpace(Params(n, k, ell, alpha=alpha))
-        near = space.near()         # builds the matrix first
-        trans = space.transitions()
+        near = space.near()
+        trans = transition_matrix(space)
         costs = sorted({c for row in trans for c in row} - {0})
         assert list(near) == costs, (n, k, ell)
         for d in costs:
@@ -319,27 +323,30 @@ LARGE_SHAPES = [(n, k, n // k) for n in range(2, 17) for k in range(1, n + 1)
 
 @pytest.mark.parametrize("alpha", (1, 300))
 def test_relabeled_matrix_matches_the_per_row_build(alpha):
-    # rows taken through `row` before the matrix exists come from the
-    # overlap memo; `transitions` builds all but row 0 by relabeling nodes.
-    # The one-state shapes ell = 1 and k = 1 copy no row.
+    # a cold `near` builds the masks of all but row 0 by relabeling nodes;
+    # rows taken through `row` come from the overlap memo alone. The
+    # one-state shapes ell = 1 and k = 1 copy no code.
     assert LARGE_SHAPES == [(10, 2, 5), (12, 6, 2), (14, 7, 2)]
     rng = random.Random(1716)
     for n, k, ell in LARGE_SHAPES + [(4, 4, 1), (4, 1, 4)]:
         space = PartitionSpace(Params(n, k, ell, alpha=alpha))
         m = len(space)
+        near = space.near()
+        assert all(len(masks) == m for masks in near.values())
         states = range(m) if m < 1716 else \
             sorted({1, m - 1} | set(rng.sample(range(2, m - 1), 40)))
-        per_row = [space.row(i) for i in states]
-        assert space._trans is None
-        trans = space.transitions()
-        assert len(trans) == m
-        assert [trans[i] for i in states] == per_row, (n, k, ell)
+        for i in states:
+            row = space.row(i)
+            assert list(near) == sorted(set(row) - {0}), (n, k, ell, i)
+            for d, masks in near.items():
+                assert masks[i] == sum(1 << s for s, c in enumerate(row)
+                                       if c == d), (n, k, ell, i, d)
 
 
 def test_cold_matrix_solves_row_0_only(monkeypatch):
-    # A guard without timings: a cold matrix takes row 0, and only row 0,
-    # through the overlap memo, and solves each distinct key of that row
-    # once, a key being the overlap matrix up to the order of its columns.
+    # A guard without timings: cold neighbour masks take row 0, and only
+    # row 0, through the overlap memo, and solve each distinct key of that
+    # row once, a key being the overlap matrix up to the order of its columns.
     # Building every row from overlaps took 84, 34, 1060 and 7 solves, and
     # row 0 alone 26, 22, 146 and 7 with the columns in the target's order.
     rows, solves = [], []
@@ -360,10 +367,52 @@ def test_cold_matrix_solves_row_0_only(monkeypatch):
         rows.clear()
         solves.clear()
         space = PartitionSpace(Params(*shape, alpha=2))
-        space.transitions()
         space.near()
         assert rows == [0], shape
         assert len(solves) == len(space._cost_by_overlap) == want, shape
+
+
+def test_cold_optimal_cost_keeps_no_matrix(monkeypatch):
+    # A guard without timings: a cold solve takes row 0 alone through
+    # `row`, and its space holds nothing with m rows of m costs
+    rows = []
+    row = PartitionSpace.row
+
+    def counted_row(space, i):
+        rows.append((space, i))
+        return row(space, i)
+
+    monkeypatch.setattr(PartitionSpace, "row", counted_row)
+    rng = random.Random(14)
+    for shape in ((8, 2, 4), (9, 3, 3), (14, 7, 2)):
+        rows.clear()
+        params = Params(*shape, alpha=2)
+        sigma = _random_requests(rng, shape[0], 100)
+        optimal_cost(sigma, params, contiguous_configuration(params))
+        assert [i for _, i in rows] == [0], shape
+        space = rows[0][0]
+        m = len(space)
+        for name, value in vars(space).items():
+            assert not (isinstance(value, list) and len(value) == m and all(
+                isinstance(r, (list, tuple, bytes)) and len(r) == m
+                for r in value)), (shape, name)
+
+
+@pytest.mark.parametrize("alpha", (1, 7, 300))
+def test_work_function_starts_at_the_row_of_its_start(alpha):
+    # the first levels, read off the neighbour masks, are the start's row
+    # grouped by value in ascending order, for every start state
+    for n, k, ell in SMALL_SHAPES:
+        space = PartitionSpace(Params(n, k, ell, alpha=alpha))
+        for start, part in enumerate(space.partitions):
+            initial = offline._configuration_of_partition(part, k, ell)
+            levels = {}
+            for s, c in enumerate(space.row(start)):
+                levels[c] = levels.get(c, 0) | 1 << s
+            work = WorkFunction(space.params, initial, space)
+            assert work.start == start
+            assert list(work.level.items()) == sorted(levels.items()), \
+                (n, k, ell, start)
 
 
 def test_work_function_value_is_the_optimum_of_each_prefix():
