@@ -1,17 +1,22 @@
 """Exact offline optima on small instances.
 
 Partitions are label-free: a state is a set partition of the nodes into
-ell blocks of size k, canonicalized as blocks sorted by least member.
-Transition costs between states come from core.min_migration_cost, so two
-partitions that differ only by cluster labels are the same state at
-distance zero.
+ell blocks of size k, canonicalized as blocks sorted by least member, so
+relabeling clusters keeps the state (core.min_migration_cost is zero).
+
+`PartitionSpace` keeps each distinct block once, with its nodes as a
+bitmask and its state mask: the bitmask of the states that hold it. No
+state holds two blocks with both u and v, so `sides(u, v)`, the states
+that split them, is all states less the sum of those blocks' state masks.
+A state serves locally just the requests inside its blocks, so
+`static_optimal` prices it as its cost from the start plus every request,
+less the requests inside each of its blocks.
 
 The cost T[s][t] between two partitions depends only on their overlap
 matrix (|A_r & B_c|) over blocks A_r and B_c, and as every block holds k
-nodes the first ell-1 rows fix it. `PartitionSpace.row` keeps blocks as
-bitmasks and memoises costs by those rows with the columns sorted, so the
-assignment solver runs once per overlap matrix up to the order of its
-columns rather than once per pair of states.
+nodes the first ell-1 rows fix it. `PartitionSpace.row` memoises costs by
+those rows with the columns sorted, so the assignment solver runs once per
+overlap matrix up to the order of its columns, not once per pair of states.
 
 No m x m matrix is built: only row 0 goes through that memo, and the
 neighbour masks of every state come from it. A permutation g of the nodes
@@ -54,8 +59,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import reduce
-from operator import floordiv, itemgetter, or_
+from operator import floordiv, itemgetter, or_, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -64,6 +70,7 @@ from .core import (
     RepartError,
     Request,
     TooLarge,
+    UnknownNode,
     min_migration_cost,
 )
 
@@ -91,66 +98,62 @@ def enumerate_partitions(n: int, k: int, ell: int) -> List[Partition]:
         raise TooLarge("n must equal k * ell")
     if partition_count(n, k, ell) > PARTITION_CAP:
         raise TooLarge("partition space above %d states" % PARTITION_CAP)
-
     out: List[Partition] = []
 
-    def build(remaining: Tuple[int, ...], acc: Tuple[Tuple[int, ...], ...]):
-        if not remaining:
-            out.append(acc)
+    def build(left: List[int], acc: Partition):
+        if len(left) <= k:      # the last block, or none at n = 0
+            out.append(acc + (tuple(left),) if left else acc)
             return
-        head = remaining[0]
-        rest = remaining[1:]
+        head, rest = left[0], left[1:]
         # head always anchors the next block, so each partition appears once
         for mates in itertools.combinations(rest, k - 1):
-            block = (head,) + mates
-            left = tuple(x for x in rest if x not in mates)
-            build(left, acc + (block,))
+            taken = set(mates)
+            build([x for x in rest if x not in taken], acc + ((head,) + mates,))
 
-    build(tuple(range(n)), ())
+    build(list(range(n)), ())
     return out
 
 
 def partition_of_configuration(config: Configuration) -> Partition:
     blocks = [tuple(config.nodes_in(c)) for c in range(config.cluster_count)]
-    blocks = [b for b in blocks if b]
-    return tuple(sorted(blocks, key=lambda b: b[0]))
-
-
-def _block_index(p: Partition, n: int) -> List[int]:
-    """node -> the index of its block in p."""
-    out = [0] * n
-    for c, block in enumerate(p):
-        for v in block:
-            out[v] = c
-    return out
+    return tuple(sorted([b for b in blocks if b], key=lambda b: b[0]))
 
 
 def _configuration_of_partition(p: Partition, k: int, ell: int) -> Configuration:
-    return Configuration(_block_index(p, k * ell), ell, k)
+    where = sorted((v, c) for c, block in enumerate(p) for v in block)
+    return Configuration([c for _, c in where], ell, k)
 
 
 class PartitionSpace:
-    """Enumerated partition states with cached pairwise transition costs."""
+    """Enumerated partition states, their blocks and the masks over them."""
 
     def __init__(self, params: Params):
         self.params = params
         self.partitions = enumerate_partitions(params.n, params.k, params.ell)
-        self.index: Dict[Partition, int] = {p: i for i, p in enumerate(self.partitions)}
-        # node -> block index, for O(1) serve checks
-        self._block_of = [_block_index(p, params.n) for p in self.partitions]
-        # each distinct block once as a bitmask; _columns[r][s] is the id of
-        # state s's block r
-        block_ids: Dict[Tuple[int, ...], int] = {}
-        self._masks: List[int] = []
-        for p in self.partitions:
+        self.index: Dict[Partition, int] = {}
+        # block id -> its nodes, their bitmask and its state mask (_blocks,
+        # _masks, _held); _columns[r][s] is the id of state s's block r
+        ids: Dict[Tuple[int, ...], int] = {}
+        held: List[int] = []
+        rows = []
+        for s, p in enumerate(self.partitions):
+            self.index[p] = s
+            row = []
             for block in p:
-                if block not in block_ids:
-                    block_ids[block] = len(self._masks)
-                    self._masks.append(sum(1 << v for v in block))
-        self._columns = list(zip(*[[block_ids[b] for b in p]
-                                   for p in self.partitions]))
+                b = ids.get(block)
+                if b is None:
+                    b = ids[block] = len(held)
+                    held.append(1 << s)
+                else:
+                    held[b] |= 1 << s
+                row.append(b)
+            rows.append(row)
+        self._blocks = list(ids)
+        self._masks = [sum(map((1).__lshift__, b)) for b in self._blocks]
+        self._held = held
+        self._columns = list(zip(*rows))
         self._cost_by_overlap: Dict[Tuple[int, ...], int] = {}
-        self._sides: Dict[Tuple[int, int], Tuple[List[int], int]] = {}
+        self._sides: Dict[int, int] = {}
         self._near: Optional[Dict[int, List[int]]] = None
 
     def __len__(self):
@@ -162,16 +165,16 @@ class PartitionSpace:
             raise TooLarge("configuration is not a balanced ell x k placement")
         return self.index[p]
 
-    def sides(self, u: int, v: int) -> Tuple[List[int], int]:
-        """The states that collocate u and v, and the states that split
-        them as a bitmask, state s as bit s."""
-        pair = (u, v) if u < v else (v, u)
+    def sides(self, u: int, v: int) -> int:
+        """The states that split u and v, as a bitmask, state s as bit s."""
+        if max(u, v) >= self.params.n:
+            raise UnknownNode("request node outside [0, %d)" % self.params.n)
+        pair = 1 << u | 1 << v
         out = self._sides.get(pair)
         if out is None:
-            together = [s for s, b in enumerate(self._block_of) if b[u] == b[v]]
-            every = (1 << len(self)) - 1
-            out = self._sides[pair] = (
-                together, every - sum(map((1).__lshift__, together)))
+            together = sum(itertools.compress(
+                self._held, [b & pair == pair for b in self._masks]))
+            out = self._sides[pair] = (1 << len(self)) - 1 - together
         return out
 
     def row(self, i: int) -> List[int]:
@@ -191,16 +194,13 @@ class PartitionSpace:
         memo = self._cost_by_overlap
         out = list(map(memo.get, keys))
         if None in out:
-            k, ell = self.params.k, self.params.ell
-            here = _configuration_of_partition(self.partitions[i], k, ell)
+            p, part = self.params, self.partitions
+            here = _configuration_of_partition(part[i], p.k, p.ell)
             for j, key in enumerate(keys):
-                if out[j] is None:
-                    if key not in memo:
-                        there = _configuration_of_partition(
-                            self.partitions[j], k, ell)
-                        memo[key] = min_migration_cost(here, there,
-                                                       self.params.alpha)
-                    out[j] = memo[key]
+                if key not in memo:
+                    there = _configuration_of_partition(part[j], p.k, p.ell)
+                    memo[key] = min_migration_cost(here, there, p.alpha)
+                out[j] = memo[key]
         return out
 
     def transitions(self) -> Dict[int, List[int]]:
@@ -295,7 +295,7 @@ class WorkFunction:
 
     def push(self, req: Request) -> None:
         """Serve req. The levels are replaced, never changed in place."""
-        split = self.space.sides(req.u, req.v)[1]
+        split = self.space.sides(req.u, req.v)
         level = self.level
         top = next(reversed(level))
         # a witness above top - d, d the least cost, reaches no level
@@ -358,7 +358,7 @@ def optimal_cost(requests: Sequence[Request], params: Params,
     # each request's levels before its push, and its split states
     steps = []
     for req in requests:
-        steps.append((work.level, space.sides(req.u, req.v)[1]))
+        steps.append((work.level, space.sides(req.u, req.v)))
         work.push(req)
     if not steps:
         return 0, [space.partitions[start]]
@@ -400,15 +400,15 @@ def static_optimal(requests: Sequence[Request], params: Params,
     """Best single partition: pay once to reach it, then never move."""
     space = _space_for(params, space)
     start = space.state_of(initial)
-    counts: Dict[Tuple[int, int], int] = {}
-    for r in requests:
-        pair = (r.u, r.v) if r.u < r.v else (r.v, r.u)
-        counts[pair] = counts.get(pair, 0) + 1
-    # every request is paid for, except in the states that collocate it
+    counts = Counter([(r.u, r.v) if r.u < r.v else (r.v, r.u)
+                      for r in requests])
+    if max(map(itemgetter(1), counts), default=0) >= params.n:
+        raise UnknownNode("request node outside [0, %d)" % params.n)
+    inside = [sum(map(counts.get, itertools.combinations(b, 2),
+                      itertools.repeat(0))) for b in space._blocks]
     cost = [c + len(requests) for c in space.row(start)]
-    for (u, v), count in counts.items():
-        for s in space.sides(u, v)[0]:
-            cost[s] -= count
+    for col in space._columns:
+        cost = list(map(sub, cost, map(inside.__getitem__, col)))
     best = min(cost)
     return best, space.partitions[cost.index(best)]
 

@@ -4,14 +4,16 @@ The search references enumerate exhaustively with no pruning or early
 exit, so they are slow but obviously faithful to the selection rules;
 they are usable up to roughly ten components. The component reference
 runs the algorithm's searches over every component instead of the narrowed
-candidates, and checks its invariants with one loop per table. The placement and pair-counter references rebuild or scan
-everything on every call, and the offline references scan every pair of
-states on every request, as does the work function's closed-vector
-reference, and read the costs from a matrix built one row at a time by
-`transition_matrix`; the migration-distance reference tries every
-relabeling of the clusters. `rescan_peel` is the component peel that
-re-tests every candidate each round. `component_sizes` and `pair_counts`
-read an algorithm's state in the shape the tests compare. The ring rotations at
+candidates, and checks its invariants with one loop per table. The
+placement and pair-counter references rebuild or scan everything on every
+call, and the offline references scan every pair of states on every
+request, as does the work function's closed-vector reference, and read the
+costs from a matrix built one row at a time by `transition_matrix`; the
+migration-distance reference tries every relabeling of the clusters.
+`rescan_peel` is the component peel that re-tests every candidate each
+round, and `recursive_enumerate_partitions` the state enumeration whose
+order the library keeps. `component_sizes` and `pair_counts` read an
+algorithm's state in the shape the tests compare. The ring rotations at
 the end are a construction only the adversary tests use.
 """
 
@@ -36,7 +38,13 @@ from repart.core import (
     UnknownNode,
     min_migration_cost,
 )
-from repart.offline import Partition, PartitionSpace, _configuration_of_partition
+from repart.offline import (
+    PARTITION_CAP,
+    Partition,
+    PartitionSpace,
+    _configuration_of_partition,
+    partition_count,
+)
 
 
 def component_sizes(alg: ComponentRepartitioner):
@@ -455,8 +463,30 @@ def permutation_min_migration_cost(a, b, alpha):
 
 def serves(space, request, state):
     """The serve cost of one request in one state of the space."""
-    b = space._block_of[state]
-    return 1 if b[request.u] != b[request.v] else 0
+    u, v = request.u, request.v
+    return 0 if any(u in b and v in b for b in space.partitions[state]) else 1
+
+
+def recursive_enumerate_partitions(n: int, k: int, ell: int) -> List[Partition]:
+    """enumerate_partitions as a recursion on tuples, each block's mates
+    dropped by a scan of the mates tuple; its order is the reference."""
+    if n != k * ell:
+        raise TooLarge("n must equal k * ell")
+    if partition_count(n, k, ell) > PARTITION_CAP:
+        raise TooLarge("partition space above %d states" % PARTITION_CAP)
+    out: List[Partition] = []
+
+    def build(remaining, acc):
+        if not remaining:
+            out.append(acc)
+            return
+        head, rest = remaining[0], remaining[1:]
+        for mates in itertools.combinations(rest, k - 1):
+            left = tuple(x for x in rest if x not in mates)
+            build(left, acc + ((head,) + mates,))
+
+    build(tuple(range(n)), ())
+    return out
 
 
 _MATRICES = weakref.WeakKeyDictionary()     # space -> its transition matrix

@@ -1,9 +1,9 @@
 """Offline oracles: state space, dynamic program, bracketing strategies.
 
 The memoised rows of transition costs, the neighbour masks built from row 0
-by relabeling nodes, the work function's bitmask sweep and the
-pair-counting static optimum are checked against the pairwise, per-row and
-full-scan references in oracles.py.
+by relabeling nodes, the work function's bitmask sweep, the per-block
+static optimum and the state enumeration are checked against the pairwise,
+per-row, full-scan and recursive references in oracles.py.
 """
 
 import itertools
@@ -20,11 +20,12 @@ from oracles import (
     exhaustive_optimal,
     full_scan_optimal_cost,
     pairwise_transitions,
+    recursive_enumerate_partitions,
     serve_scan_static_optimal,
     transition_matrix,
 )
-from repart.core import Params, Request, TooLarge, contiguous_configuration, \
-    min_migration_cost, new_configuration, serve_cost
+from repart.core import Params, Request, TooLarge, UnknownNode, \
+    contiguous_configuration, min_migration_cost, new_configuration, serve_cost
 from repart import offline
 from repart.offline import (
     PARTITION_CAP,
@@ -60,6 +61,17 @@ def test_enumerate_partitions_shape():
         enumerate_partitions(5, 2, 2)
     with pytest.raises(TooLarge):
         enumerate_partitions(16, 4, 4)  # above the state cap
+
+
+def test_enumeration_order_is_the_recursive_reference():
+    # state indices set every tie-break, so the order is pinned, for every
+    # shape under the state cap
+    shapes = [(n, k, n // k) for n in range(1, 17) for k in range(1, n + 1)
+              if n % k == 0 and partition_count(n, k, n // k) <= PARTITION_CAP]
+    assert (14, 7, 2) in shapes and (10, 2, 5) in shapes
+    for shape in shapes:
+        assert enumerate_partitions(*shape) == \
+            recursive_enumerate_partitions(*shape), shape
 
 
 def test_partition_of_configuration():
@@ -248,6 +260,44 @@ def test_sweep_matches_full_scan(case):
     assert fresh._near is None
 
 
+@st.composite
+def static_cases(draw):
+    """Any small space at alpha 1, 2 or 7, a shuffled start and a stream."""
+    n, k, ell = draw(st.sampled_from(SMALL_SHAPES))
+    space = _space(n, k, ell, draw(st.sampled_from((1, 2, 7))))
+    slots = draw(st.permutations([v // k for v in range(n)]))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % n))
+    # a few hot pairs make leaving the start pay
+    hot = st.sampled_from(draw(st.lists(pair, min_size=1, max_size=3)))
+    requests = [Request(u, v) for u, v in draw(st.lists(hot | pair, max_size=40))]
+    return space, new_configuration(slots, ell, k), requests
+
+
+@settings(max_examples=150, deadline=None)
+@given(static_cases())
+@example(_case(8, 2, 4, 7, [(0, 2)] * 20 + [(1, 3)] * 9))
+@example(_case(9, 3, 3, 1, [(0, 8), (0, 4), (4, 8), (1, 5), (2, 7)]))
+def test_static_optimum_matches_the_serve_scan(case):
+    # the per-block inside counts summed over each state's blocks against
+    # a serve cost taken per request and state
+    assert (8, 2, 4) in SMALL_SHAPES and (9, 3, 3) in SMALL_SHAPES
+    space, initial, requests = case
+    params = space.params
+    assert static_optimal(requests, params, initial, space) == \
+        serve_scan_static_optimal(requests, params, initial, space)
+
+
+@pytest.mark.parametrize("oracle", (static_optimal, optimal_cost))
+def test_oracle_refuses_an_unknown_node(oracle):
+    # node 99 of n = 8 sits in no block, so it must not price as split
+    params = Params(8, 2, 4)
+    initial = contiguous_configuration(params)
+    for sigma in ([Request(0, 1), Request(0, 99)], [Request(8, 3)]):
+        with pytest.raises(UnknownNode):
+            oracle(sigma, params, initial)
+
+
 def test_sweep_matches_full_scan_on_seeded_streams():
     # plain random streams at alpha 1 and 2 reach the witnesses two moves
     # away that shrunk examples rarely do
@@ -304,14 +354,14 @@ def test_state_masks_match_a_scan_of_the_matrix(alpha):
             assert near[d] == [sum(1 << s for s, c in enumerate(row) if c == d)
                                for row in trans], (n, k, ell, d)
         assert space.near() is near
+        # the split masks, read off the blocks' state masks, against a scan
+        # of the partitions
         for u, v in itertools.combinations(range(n), 2):
             collocated = [any(u in b and v in b for b in part)
                           for part in space.partitions]
-            together, split = space.sides(v, u)
-            assert together == [s for s, c in enumerate(collocated) if c], \
+            assert space.sides(v, u) == space.sides(u, v) == sum(
+                1 << s for s, c in enumerate(collocated) if not c), \
                 (n, k, ell, u, v)
-            assert split == sum(1 << s for s, c in enumerate(collocated)
-                                if not c), (n, k, ell, u, v)
 
 
 # every shape under the state cap with more than 280 states (for n above 16
@@ -396,6 +446,36 @@ def test_cold_optimal_cost_keeps_no_matrix(monkeypatch):
             assert not (isinstance(value, list) and len(value) == m and all(
                 isinstance(r, (list, tuple, bytes)) and len(r) == m
                 for r in value)), (shape, name)
+
+
+def test_cold_space_keeps_no_per_node_rows(monkeypatch):
+    # A guard without timings: a cold space of either oracle holds nothing
+    # made of m per-node sequences (a node -> block list per state), and
+    # caches its split masks as ints keyed by ints
+    spaces = []
+    init = PartitionSpace.__init__
+
+    def kept(space, params):
+        init(space, params)
+        spaces.append(space)
+
+    monkeypatch.setattr(PartitionSpace, "__init__", kept)
+    rng = random.Random(18)
+    for shape in ((8, 2, 4), (9, 3, 3), (14, 7, 2)):
+        n, params = shape[0], Params(*shape, alpha=2)
+        sigma = _random_requests(rng, n, 100)
+        for oracle in (static_optimal, optimal_cost):
+            spaces.clear()
+            oracle(sigma, params, contiguous_configuration(params))
+            space, = spaces
+            m = len(space)
+            for name, value in vars(space).items():
+                assert not (isinstance(value, (list, tuple)) and len(value) == m
+                            and all(isinstance(r, (list, tuple)) and len(r) == n
+                                    for r in value)), (shape, name)
+            assert bool(space._sides) == (oracle is optimal_cost)
+            assert all(type(pair) is int and type(split) is int
+                       for pair, split in space._sides.items()), shape
 
 
 @pytest.mark.parametrize("alpha", (1, 7, 300))
