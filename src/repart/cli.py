@@ -93,8 +93,15 @@ def make_source(spec: RunSpec):
     if spec.source == "group_phases":
         return adversaries.GroupPhases(params)
     if spec.source == "paging":
+        items = []
         with open(spec.trace) as fh:
-            items = [int(tok) for tok in fh.read().split()]
+            for i, tok in enumerate(fh.read().split(), 1):
+                try:
+                    items.append(int(tok))
+                except ValueError:
+                    raise adversaries.MalformedPagingSequence(
+                        "%s: item %d (%r) is not an int"
+                        % (spec.trace, i, tok)) from None
         return adversaries.PagingStream(params, items)
     if spec.source == "random":
         return adversaries.RandomPairs(spec.seed, spec.n, spec.steps)
@@ -411,6 +418,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(text)
             return code
         if args.command == "compare":
+            # the flag, else the config file's list, else greedy alone
+            if args.alg is None and args.config:
+                args.alg = _read_config(args.config).get("alg")
             algs = (args.alg or "greedy").split(",")
             args.alg = algs[0]
             spec = build_spec(args)

@@ -7,6 +7,7 @@ clusters costs alpha. Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -79,16 +80,17 @@ class Configuration:
 
     A configuration and every configuration `apply_moves` derives from it
     are versions of one persistent array (Baker 1978; Conchon & Filliatre
-    2007). They share a single mutable store: the assignment list, the
-    per-cluster counts and the lazily built per-cluster member tuples
-    behind `nodes_in`. The version that holds the store reads in O(1);
-    every other version holds only the undo moves that lead from a
-    neighbour version (`_next`) to itself. Reading an old version first
-    walks the store back to it, applying and reversing the undo moves on
-    the way (`_reroot`), so deriving a child costs O(moves + k) and copies
-    nothing of size n or ell, and a run that reads only its newest version
-    never walks at all. The moves of a whole chain stay reachable from its
-    oldest version.
+    2007). They share a single mutable store: the assignment list and the
+    sorted member list of each cluster, both filled by the validating
+    construction and kept current by every move. The version that holds
+    the store reads in O(1), and `nodes_in` in O(k); every other version
+    holds only the undo moves that lead from a neighbour version (`_next`)
+    to itself. Reading an old version first walks the store back to it,
+    applying and reversing the undo moves on the way (`_reroot`), so
+    deriving a child costs O(moves * k) and copies nothing of size n or
+    ell, and a run that reads only its newest version never walks at
+    all. The moves of a whole chain stay reachable from its oldest
+    version.
 
     Every version stays observably immutable, but reading any version
     mutates the shared store: versions of one chain must not be read from
@@ -96,7 +98,7 @@ class Configuration:
     """
 
     __slots__ = ("n", "cluster_count", "cluster_capacity", "_assign",
-                 "_counts", "_members", "_undo", "_next")
+                 "_members", "_undo", "_next")
 
     def __init__(self, assignment: Sequence[int], cluster_count: int,
                  cluster_capacity: int):
@@ -104,16 +106,16 @@ class Configuration:
         self.n = len(self._assign)
         self.cluster_count = cluster_count
         self.cluster_capacity = cluster_capacity
-        counts = [0] * cluster_count
+        # nodes come in increasing id order, so every member list is sorted
+        members: List[List[int]] = [[] for _ in range(cluster_count)]
         for v, c in enumerate(self._assign):
             if not 0 <= c < cluster_count:
                 raise UnknownCluster("node %d assigned to cluster %d" % (v, c))
-            counts[c] += 1
-            if counts[c] > cluster_capacity:
+            members[c].append(v)
+            if len(members[c]) > cluster_capacity:
                 raise CapacityExceeded("cluster %d over capacity %d"
                                        % (c, cluster_capacity))
-        self._counts = counts
-        self._members: List[Tuple[int, ...]] = []   # empty until first built
+        self._members = members
         self._undo: Tuple[Tuple[int, int], ...] = ()
         self._next: Optional[Configuration] = None  # None: holds the store
 
@@ -123,24 +125,19 @@ class Configuration:
         out = Configuration.__new__(Configuration)
         out.n, out.cluster_count = self.n, self.cluster_count
         out.cluster_capacity = self.cluster_capacity
-        out._assign, out._counts = self._assign, self._counts
-        out._members, out._undo, out._next = self._members, (), None
+        out._assign, out._members = self._assign, self._members
+        out._undo, out._next = (), None
         return out
 
     def _shift(self, moves: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
         """Move each (node, cluster) in the store, every node distinct and
         every move a real change; return the moves that undo them."""
-        assign, counts, members = self._assign, self._counts, self._members
+        assign, members = self._assign, self._members
         undo = tuple((v, assign[v]) for v, _ in moves)
         for (v, c), (_, a) in zip(moves, undo):
             assign[v] = c
-            counts[a] -= 1
-            counts[c] += 1
-        if members:
-            for c in {c for _, c in moves}.union(a for _, a in undo):
-                members[c] = tuple(sorted(
-                    [w for w in members[c] if assign[w] == c]
-                    + [v for v, b in moves if b == c]))
+            members[a].remove(v)
+            bisect.insort(members[c], v)
         return undo
 
     def _reroot(self):
@@ -170,28 +167,20 @@ class Configuration:
             raise UnknownNode("node %d outside [0, %d)" % (v, self.n))
         return self._assign[v]
 
-    def _build_members(self) -> List[Tuple[int, ...]]:
-        members: List[List[int]] = [[] for _ in range(self.cluster_count)]
-        for v, c in enumerate(self._assign):
-            members[c].append(v)
-        return [tuple(m) for m in members]
-
     def nodes_in(self, c: int) -> List[int]:
         """Members of cluster c in increasing id order."""
         if self._next is not None:
             self._reroot()
         if not 0 <= c < self.cluster_count:
             raise UnknownCluster("cluster %d outside [0, %d)" % (c, self.cluster_count))
-        if not self._members:
-            self._members.extend(self._build_members())
-        return list(self._members[c])
+        return self._members[c][:]
 
     def occupancy(self, c: int) -> int:
         if self._next is not None:
             self._reroot()
         if not 0 <= c < self.cluster_count:
             raise UnknownCluster("cluster %d outside [0, %d)" % (c, self.cluster_count))
-        return self._counts[c]
+        return len(self._members[c])
 
     def canonical(self) -> str:
         # one C-level format pass, with no string object per node
@@ -248,7 +237,7 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
     last move wins. Capacity is validated on the final placement only, so
     batches may pass through transient overfull states. Only the moved
     nodes and the clusters they enter are checked, since `config` is valid.
-    The child takes over `config`'s store in O(moves + k); a rejected batch
+    The child takes over `config`'s store in O(moves * k); a rejected batch
     leaves the store as it found it.
     """
     if not moves:
@@ -271,9 +260,9 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
     for v, c in changed:
         gain[c] = gain.get(c, 0) + 1
         gain[old[v]] = gain.get(old[v], 0) - 1
-    counts = config._counts
+    members = config._members
     for c in sorted(gain):
-        if counts[c] + gain[c] > config.cluster_capacity:
+        if len(members[c]) + gain[c] > config.cluster_capacity:
             raise CapacityExceeded("cluster %d over capacity %d"
                                    % (c, config.cluster_capacity))
     out = config._child()

@@ -8,7 +8,7 @@ is charged, post-serve moves after. Component-based repartitioning uses
 the pre slot; the greedy rematcher swaps only after the triggering request
 has been paid, so it uses the post slot.
 
-A step costs O(moves + k) in the harness at any n: `apply_moves` hands
+A step costs O(moves * k) in the harness at any n: `apply_moves` hands
 the configuration's shared store to the child and leaves the parent only
 the moves that undo the step (see `core.Configuration`). So the
 transcript's `initial` keeps the moves of the whole run reachable, and

@@ -313,6 +313,16 @@ def test_compare_writes_the_report_it_prints(tmp_path, capsys):
     assert set(json.loads(printed)["runs"]) == {"greedy", "null"}
 
 
+def test_compare_takes_its_algorithms_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cmp.cfg"
+    cfg.write_text("alg=naive,null\nsource=random\nn=8\nk=2\nl=4\nsteps=20\n")
+    assert cli.main(["compare", "--config", str(cfg)]) == 0
+    assert set(json.loads(capsys.readouterr().out)["runs"]) == {"naive", "null"}
+    # the flag still overrides the file
+    assert cli.main(["compare", "--config", str(cfg), "--alg", "greedy"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["runs"]) == {"greedy"}
+
+
 def test_verify_with_out_is_an_error(tmp_path, capsys):
     # verify writes no report, so --out would be silently dropped
     out = tmp_path / "ver.json"
@@ -377,10 +387,21 @@ def test_trace_with_a_node_out_of_range_is_an_error(tmp_path, capsys):
     assert captured.err == "error: line 1: node 9 outside [0, 4)\n"
 
 
+def test_paging_file_with_a_non_integer_item_is_an_error(tmp_path, capsys):
+    pages = tmp_path / "pages.txt"
+    pages.write_text("0 1\n2 x\n")
+    assert cli.main(["run", "--alg", "null", "--source", "paging", "--n", "6",
+                     "--k", "3", "--l", "2", "--trace", str(pages)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: item 4 ('x') is not an int\n" % pages
+
+
 _INPUT_FILES = {
     "bad_p.cfg": "alg=null\nsource=planted\nn=4\nk=2\nl=2\np_in=2\n",
     "typo.cfg": "alg=null\nsource=random\nn=4\nk=2\nl=2\nseeds=3\n",
     "pages.txt": "0 1 5\n",
+    "words.txt": "0 1 x\n",
 }
 
 
@@ -402,6 +423,8 @@ _INPUT_FILES = {
     ["run", "--config", "absent.cfg"],
     ["run", "--alg", "null", "--source", "random", "--n", "4", "--k", "2",
      "--l", "2", "--steps", "-5"],
+    ["run", "--alg", "null", "--source", "paging", "--n", "6", "--k", "3",
+     "--l", "2", "--trace", "words.txt"],              # item x
 ])
 def test_bad_input_is_an_error(argv, tmp_path, monkeypatch, capsys):
     for name, text in _INPUT_FILES.items():

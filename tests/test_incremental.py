@@ -43,14 +43,12 @@ def placements(draw):
 
 @st.composite
 def move_batches(draw):
-    """A placement and a chain of batches, each with a flag that probes
-    `nodes_in` (building the member index) before the batch is applied.
-    Nodes and clusters range one past each end, so some batches are
-    invalid; repeated nodes and no-op moves come up on their own."""
+    """A placement and a chain of batches. Nodes and clusters range one
+    past each end, so some batches are invalid; repeated nodes and no-op
+    moves come up on their own."""
     config, ell, _ = draw(placements())
     move = st.tuples(st.integers(-1, config.n), st.integers(-1, ell))
-    batch = st.tuples(st.booleans(), st.lists(move, max_size=6))
-    return config, draw(st.lists(batch, max_size=8))
+    return config, draw(st.lists(st.lists(move, max_size=6), max_size=8))
 
 
 def _same_placement(got, want):
@@ -66,9 +64,7 @@ def _same_placement(got, want):
 def test_apply_moves_matches_rebuild(case, alpha):
     config, batches = case
     ref = config
-    for probe, moves in batches:
-        if probe:
-            config.nodes_in(0)
+    for moves in batches:
         try:
             want = rebuild_apply_moves(ref, moves, alpha)
         except RepartError as exc:
@@ -111,8 +107,6 @@ def test_every_version_of_a_tree_reads_as_its_rebuild(placed, data):
     for _ in range(data.draw(st.integers(0, 10))):
         got, want = data.draw(st.sampled_from(versions))
         moves = data.draw(st.lists(move, max_size=6))
-        if data.draw(st.booleans()):
-            got.nodes_in(0)              # build the member index here
         try:
             child = rebuild_apply_moves(want, moves, 1)
         except RepartError as exc:
@@ -195,28 +189,23 @@ def test_naive_matches_scan_reference(case):
 
 
 def test_steps_do_no_full_rebuilds(monkeypatch):
-    """Validating constructions, full member-index builds and full
-    placement snapshots happen a constant number of times per run, not
-    once per step: no read on the step path is O(n)."""
+    """No step makes a validating construction, which builds the member
+    index, or a full placement snapshot: no read on the step path is
+    O(n)."""
     p = Params(4096, 2, 2048, alpha=2)
-    counts = {"init": 0, "index": 0, "snapshot": 0}
-    init, build = Configuration.__init__, Configuration._build_members
+    counts = {"init": 0, "snapshot": 0}
+    init = Configuration.__init__
     snapshot = Configuration.assignment.fget
 
     def counted_init(self, *args):
         counts["init"] += 1
         init(self, *args)
 
-    def counted_build(self):
-        counts["index"] += 1
-        return build(self)
-
     def counted_snapshot(self):
         counts["snapshot"] += 1
         return snapshot(self)
 
     monkeypatch.setattr(Configuration, "__init__", counted_init)
-    monkeypatch.setattr(Configuration, "_build_members", counted_build)
     monkeypatch.setattr(Configuration, "assignment", property(counted_snapshot))
     # on the chase both endpoint clusters of greedy trip together; on
     # random pairs one trips alone and greedy reads its partner's pairs
@@ -225,10 +214,9 @@ def test_steps_do_no_full_rebuilds(monkeypatch):
                      (GreedyMatcher(p), PairChase(p, 10 ** 9)),
                      (GreedyMatcher(p, lam=1), RandomPairs(0, p.n, 300))):
         initial = contiguous_configuration(p)
-        counts.update(init=0, index=0, snapshot=0)
+        counts.update(init=0, snapshot=0)
         tr = engine.run(alg, src, p, initial, 300)
         assert len(tr.steps) == 300
-        assert counts["init"] == 0 and counts["index"] <= 1, counts
-        assert counts["snapshot"] == 0, counts
+        assert counts == {"init": 0, "snapshot": 0}, counts
         if not isinstance(alg, NullAlgorithm):
             assert tr.ledger.mig_total > 0   # it swapped
