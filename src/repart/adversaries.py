@@ -10,8 +10,7 @@ the configuration.
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .core import (Configuration, GeometryError, Params, RepartError, Request,
-                   new_configuration)
+from .core import Configuration, GeometryError, Params, RepartError, Request
 from .engine import AdversaryStuck
 
 
@@ -67,12 +66,8 @@ def group_phases_initial(params: Params) -> Configuration:
     """
     if params.ell != 2:
         raise GeometryError("grouped phases need exactly two clusters")
-    assignment = {0: 1, params.k: 0}
-    for i in range(1, params.k):
-        assignment[i] = 0
-    for i in range(params.k + 1, 2 * params.k):
-        assignment[i] = 1
-    return new_configuration(assignment, params.ell, params.k)
+    k = params.k
+    return Configuration([1] + [0] * k + [1] * (k - 1), params.ell, k)
 
 
 class GroupPhases:
@@ -93,34 +88,24 @@ class GroupPhases:
         self.alpha = params.alpha
         self.last_phase = max(params.k - 1, 1)
         self.phase = 1
-        self.cursor = 0
         self.w = 0
         self.dropped = False          # node 0 removed after a cheap phase 1
         self.profile: List[int] = []
 
-    def _core(self) -> List[int]:
-        lo = 1 if self.dropped else 0
-        return list(range(lo, self.phase + 1))
-
-    def _partners(self) -> List[int]:
-        lo = 1 if self.dropped else 0
-        return list(range(self.phase - 1, lo - 1, -1))
-
     def next(self, config: Configuration) -> Optional[Request]:
         while self.phase <= self.last_phase:
-            core = self._core()
-            home = config.cluster_of(core[0])
-            if any(config.cluster_of(x) != home for x in core):
-                partners = self._partners()
-                partner = partners[self.cursor % len(partners)]
-                self.cursor += 1
+            lo = 1 if self.dropped else 0
+            home = config.cluster_of(lo)
+            if any(config.cluster_of(x) != home
+                   for x in range(lo + 1, self.phase + 1)):
+                partners = range(self.phase - 1, lo - 1, -1)
+                partner = partners[self.w % len(partners)]
                 self.w += 1
                 return Request(partner, self.phase)
             self.profile.append(self.w)
             if self.phase == 1 and self.w < 2 * self.alpha:
                 self.dropped = True
             self.phase += 1
-            self.cursor = 0
             self.w = 0
         return None
 
@@ -150,7 +135,6 @@ class PairChase:
         self.mate = -1                # b's mate at the previous emission
         self.w = 0
         self.profile: List[int] = []
-        self.exhausted = False
 
     def _least_split_pair(self, config: Configuration) -> Tuple[int, int]:
         for u in range(self.n):
@@ -161,14 +145,13 @@ class PairChase:
         raise AdversaryStuck("no split pair: a single cluster holds every node")
 
     def next(self, config: Configuration) -> Optional[Request]:
-        if self.exhausted:
+        if len(self.profile) == self.phases:
             return None
         if self.pair is None:
             self.pair = self._least_split_pair(config)
         elif config.cluster_of(self.pair[0]) == config.cluster_of(self.pair[1]):
             self.profile.append(self.w)
             if len(self.profile) == self.phases:
-                self.exhausted = True
                 return None
             self.pair = (self.pair[1], self.mate)
             self.w = 0
@@ -191,12 +174,7 @@ def paging_initial(params: Params) -> Configuration:
     if params.ell != 2:
         raise GeometryError("paging reduction needs exactly two clusters")
     k = params.k
-    assignment = {i: 0 for i in range(k - 1)}
-    assignment[k] = 0                 # dummy node
-    assignment[k - 1] = 1
-    for i in range(k + 1, 2 * k):
-        assignment[i] = 1
-    return new_configuration(assignment, params.ell, params.k)
+    return Configuration([0] * (k - 1) + [1, 0] + [1] * (k - 1), params.ell, k)
 
 
 class PagingStream:
@@ -206,7 +184,9 @@ class PagingStream:
     padding. Each paging request to item j becomes 2*alpha + 1 requests
     {j, dummy}; between consecutive paging requests come alpha separator
     requests {x, dummy} where x is the lowest-id item currently sharing the
-    dummy's cluster, re-evaluated per emission.
+    dummy's cluster, re-evaluated per emission. So the stream has periods
+    of 3*alpha + 1 positions, one per paging request, the last cut short
+    by its alpha separators.
     """
 
     def __init__(self, params: Params, sequence: Sequence[int]):
@@ -221,32 +201,24 @@ class PagingStream:
                 raise MalformedPagingSequence(
                     "item %d outside [0, %d)" % (item, params.k))
         self.seq = list(sequence)
-        self.j = 0
-        self.mains_left = 2 * params.alpha + 1 if self.seq else 0
-        self.fillers_left = params.alpha
         self.alpha = params.alpha
+        self.period = 3 * params.alpha + 1
+        self.length = len(self.seq) * self.period - params.alpha  # < 0: empty
+        self.pos = 0
 
     def next(self, config: Configuration) -> Optional[Request]:
-        while True:
-            if self.j >= len(self.seq):
-                return None
-            if self.mains_left > 0:
-                self.mains_left -= 1
-                return Request(self.seq[self.j], self.dummy)
-            if self.j == len(self.seq) - 1:
-                self.j += 1
-                return None           # no separators after the last item
-            if self.fillers_left > 0:
-                self.fillers_left -= 1
-                cluster = config.nodes_in(config.cluster_of(self.dummy))
-                items = [x for x in cluster if x < self.k]
-                if not items:
-                    raise AdversaryStuck(
-                        "no item shares the dummy's cluster to separate on")
-                return Request(items[0], self.dummy)
-            self.j += 1
-            self.mains_left = 2 * self.alpha + 1
-            self.fillers_left = self.alpha
+        if self.pos >= self.length:
+            return None
+        i, offset = divmod(self.pos, self.period)
+        self.pos += 1
+        if offset <= 2 * self.alpha:
+            return Request(self.seq[i], self.dummy)
+        cluster = config.nodes_in(config.cluster_of(self.dummy))
+        items = [x for x in cluster if x < self.k]
+        if not items:
+            raise AdversaryStuck(
+                "no item shares the dummy's cluster to separate on")
+        return Request(items[0], self.dummy)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,13 @@ _PARSE = {"int": int, "Optional[int]": int, "float": float}
 
 def build_spec(args: argparse.Namespace) -> RunSpec:
     """A validated spec from the --config file, overridden by the flags."""
+    spec = _merge_spec(args)
+    spec.validate()
+    return spec
+
+
+def _merge_spec(args: argparse.Namespace) -> RunSpec:
+    """The --config file's settings overridden by the flags, unvalidated."""
     merged = _read_config(args.config) if args.config else {}
     if "lambda" in merged:
         merged["lam"] = merged.pop("lambda")
@@ -345,9 +352,7 @@ def build_spec(args: argparse.Namespace) -> RunSpec:
     for f in settings:
         if f.default is MISSING and f.name not in merged:
             raise ValueError("missing required setting %r" % f.name)
-    spec = RunSpec(**merged)
-    spec.validate()
-    return spec
+    return RunSpec(**merged)
 
 
 def _int_list(text: str) -> List[int]:
@@ -392,17 +397,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.command == "sweep":
+            # the lists stand in for the required shape; only the cells
+            # are validated, each into its own row
             if args.k is None and args.ks:
                 args.k = args.ks[0]
             if args.l is None and args.ls:
                 args.l = args.ls[0]
-            if args.alpha is None and args.alphas:
-                args.alpha = args.alphas[0]
-            if args.seed is None and args.seeds:
-                args.seed = args.seeds[0]
             if args.n is None and args.k and args.l:
                 args.n = args.k * args.l
-            base = build_spec(args)
+            base = _merge_spec(args)
             text = cmd_sweep(base, args.ks or [base.k], args.ls or [base.l],
                              args.alphas or [base.alpha],
                              args.seeds or [base.seed])

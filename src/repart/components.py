@@ -102,8 +102,7 @@ import math
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
-from .core import (Configuration, GeometryError, Params, RepartError, Request,
-                   new_configuration)
+from .core import Configuration, GeometryError, Params, RepartError, Request
 
 Move = Tuple[int, int]
 PairKey = Tuple[int, int]
@@ -548,9 +547,8 @@ class ComponentRepartitioner:
         self.move_count: Dict[int, int] = {v: 0 for v in range(self.n)}
         self.violations: List[str] = []    # audit failures at epoch ends
 
-        self.start = new_configuration(
-            {v: initial.cluster_of(v) for v in range(self.n)},
-            self.clusters, self.capacity)
+        self.start = Configuration(initial.assignment, self.clusters,
+                                   self.capacity)
 
     # -- ledger -------------------------------------------------------------
 
@@ -714,7 +712,6 @@ class ComponentRepartitioner:
         self._audit_epoch(members, vol)
 
         inside = set(members)
-        new_singletons: List[int] = []
         for c in members:
             cluster = self.comp_cluster[c]
             for node in self.comp_nodes[c]:
@@ -724,7 +721,6 @@ class ComponentRepartitioner:
                 self.comp_reserved[node] = min(1, self.k - 1)
                 self.comm_paid[node] = 0
                 self.move_count[node] = 0
-                new_singletons.append(node)
             if c >= self.n:
                 del self.comp_nodes[c]
                 del self.comp_cluster[c]

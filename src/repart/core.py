@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class RepartError(Exception):
@@ -200,20 +200,9 @@ class Configuration:
         return "Configuration(%s)" % self.canonical()
 
 
-AssignmentLike = Union[Mapping[int, int], Sequence[int]]
-
-
-def new_configuration(assignment: AssignmentLike, cluster_count: int,
+def new_configuration(assignment: Sequence[int], cluster_count: int,
                       cluster_capacity: int) -> Configuration:
-    """Build a validated configuration from a node->cluster mapping."""
-    if isinstance(assignment, Mapping):
-        n = len(assignment)
-        flat = [-1] * n
-        for v, c in assignment.items():
-            if not 0 <= v < n:
-                raise UnknownNode("node id %d outside [0, %d)" % (v, n))
-            flat[v] = c
-        assignment = flat
+    """A validated configuration with node v in cluster assignment[v]."""
     return Configuration(assignment, cluster_count, cluster_capacity)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Protocol, Tuple, Union
 
 from .core import (
     Configuration,

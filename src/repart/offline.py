@@ -92,11 +92,32 @@ def partition_count(n: int, k: int, ell: int) -> int:
     return math.factorial(n) // (math.factorial(k) ** ell * math.factorial(ell))
 
 
+def _above_cap(n: int, k: int, ell: int) -> bool:
+    """partition_count(n, k, ell) > PARTITION_CAP, without the factorials.
+
+    Block i's least node picks its k - 1 mates from the n - i*k - 1 nodes
+    after it, so the count is the product of those binomials. Each is
+    built one factor (top - j + 1) / j at a time, with 2j < top: every
+    factor is above 1 and C(top, j) >= 2**j, so the running product passes
+    the cap within log2(PARTITION_CAP) + 1 factors.
+    """
+    if k == 1:
+        return False            # one way to fill each block
+    count = 1
+    for i in range(ell - 1):    # the last block takes the nodes left over
+        top = n - i * k - 1
+        for j in range(1, k):   # C(top, j) = C(top, j - 1) * (top - j + 1) / j
+            count = count * (top - j + 1) // j
+            if count > PARTITION_CAP:
+                return True
+    return False
+
+
 def enumerate_partitions(n: int, k: int, ell: int) -> List[Partition]:
     """All partitions of range(n) into ell unordered blocks of size k."""
     if n != k * ell:
         raise TooLarge("n must equal k * ell")
-    if partition_count(n, k, ell) > PARTITION_CAP:
+    if _above_cap(n, k, ell):
         raise TooLarge("partition space above %d states" % PARTITION_CAP)
     out: List[Partition] = []
 

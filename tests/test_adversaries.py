@@ -216,10 +216,11 @@ def test_paging_sequence_validation():
 def test_paging_stuck_without_a_separator_candidate():
     p = Params(8, 4, 2)
     src = PagingStream(p, [0, 1])
-    src.mains_left = 0                   # jump straight to the separator
     # a configuration where only padding shares the dummy's cluster
     config = contiguous_configuration(p)  # dummy 4 sits with 5, 6, 7
-    with pytest.raises(AdversaryStuck):
+    for _ in range(3):                    # the 2 * alpha + 1 requests {0, 4}
+        assert src.next(config) == Request(0, 4)
+    with pytest.raises(AdversaryStuck):   # the separator finds no item
         src.next(config)
 
 

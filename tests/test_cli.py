@@ -292,6 +292,32 @@ def test_sweep_via_main_writes_csv(tmp_path):
     assert [r["l"] for r in rows] == ["2", "4"]
 
 
+def test_sweep_validates_only_its_cells(tmp_path, capsys):
+    argv = ["sweep", "--alg", "greedy", "--source", "random", "--ls", "2",
+            "--steps", "10"]
+    # an invalid first list value, or a --k no cell uses, aborts nothing
+    assert cli.main(argv + ["--ks", "1,2"]) == 0
+    text = capsys.readouterr().out
+    assert cli.main(argv + ["--ks", "2,1"]) == 0
+    assert capsys.readouterr().out == text
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [(r["k"], r["error"]) for r in rows] == [
+        ("1", "ValueError: greedy needs clusters of size 2"), ("2", "")]
+    assert cli.main(argv + ["--k", "3", "--ks", "2"]) == 0
+    lines = text.splitlines()
+    assert capsys.readouterr().out.splitlines() == [lines[0], lines[2]]
+    # missing and unknown settings are no cell's fault
+    assert cli.main(["sweep", "--source", "random", "--ks", "2",
+                     "--ls", "2"]) == 2
+    assert cli.main(["sweep", "--alg", "greedy", "--ks", "2",
+                     "--ls", "2"]) == 2
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("alg=null\nsource=random\nks=2\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--ks", "2",
+                     "--ls", "2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_compare_runs_each_algorithm(capsys):
     rc = cli.main(["compare", "--alg", "greedy,naive,null",
                    "--source", "random", "--n", "8", "--k", "2", "--l", "4",

@@ -117,9 +117,8 @@ def test_dp_schedule_is_consistent():
         assert schedule[0] == partition_of_configuration(initial)
         # re-price the schedule independently
         cost = 0
-        configs = [new_configuration(
-            {x: c for c, block in enumerate(part) for x in block}, 3, 2)
-            for part in schedule]
+        configs = [offline._configuration_of_partition(part, 2, 3)
+                   for part in schedule]
         for i, req in enumerate(sigma):
             cost += min_migration_cost(configs[i], configs[i + 1], p.alpha)
             cost += serve_cost(configs[i + 1], req)
@@ -544,6 +543,23 @@ def test_state_cap_fails_fast():
     with pytest.raises(TooLarge):
         PartitionSpace(Params(12, 3, 4))
     assert time.perf_counter() - started < 1.0
+
+
+def test_state_cap_check_matches_the_exact_count():
+    for k in range(20):
+        for ell in range(20):
+            assert offline._above_cap(k * ell, k, ell) == \
+                (partition_count(k * ell, k, ell) > PARTITION_CAP), (k, ell)
+
+
+def test_state_cap_check_needs_no_factorials():
+    # the exact count at n = 200000 is seconds of bignum work; the cap
+    # check stops after the first binomial factor passes the cap
+    for k in (2, 100000):
+        started = time.perf_counter()
+        with pytest.raises(TooLarge):
+            PartitionSpace(Params(200000, k, 200000 // k))
+        assert time.perf_counter() - started < 0.5, k
 
 
 def test_m945_optima_pinned():
