@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class RepartError(Exception):
@@ -62,17 +62,27 @@ class Params:
             raise GeometryError("delta must be an integer >= 1")
 
 
-@dataclass(frozen=True)
-class Request:
+class _RequestFields(NamedTuple):
     u: int
     v: int
     t: int = 0  # 1-based step index, 0 when not yet scheduled
 
-    def __post_init__(self):
-        if self.u == self.v:
-            raise GeometryError("request endpoints must differ, got %d" % self.u)
-        if self.u < 0 or self.v < 0:
+
+class Request(_RequestFields):
+    """A request between nodes u and v: an immutable, validated tuple.
+
+    Every step builds one, so it is a tuple rather than a dataclass; it
+    equals and hashes as the tuple (u, v, t).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u: int, v: int, t: int = 0):
+        if u == v:
+            raise GeometryError("request endpoints must differ, got %d" % u)
+        if u < 0 or v < 0:
             raise UnknownNode("negative node id in request")
+        return tuple.__new__(cls, (u, v, t))
 
 
 class Configuration:

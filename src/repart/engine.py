@@ -10,11 +10,11 @@ has been paid, so it uses the post slot.
 
 A step costs O(moves * k) in the harness at any n: `apply_moves` hands
 the configuration's shared store to the child and leaves the parent only
-the moves that undo the step (see `core.Configuration`). So the
-transcript's `initial` keeps the moves of the whole run reachable, and
-`Transcript.replay` first walks the store back to `initial`. Reading any
-configuration of a run mutates that store: a run and its configurations
-belong to one thread.
+the moves that undo the step (see `core.Configuration`), and `run` calls
+it only on a non-empty batch. So the transcript's `initial` keeps the
+moves of the whole run reachable, and `Transcript.replay` first walks the
+store back to `initial`. Reading any configuration of a run mutates that
+store: a run and its configurations belong to one thread.
 """
 
 from __future__ import annotations
@@ -121,19 +121,25 @@ def run(alg: OnlineAlgorithm, src: RequestSource, params: Params,
     """
     config = initial
     transcript = Transcript(params=params, initial=initial)
+    # bound once per run; apply_moves and serve_cost stay module lookups
+    source_next, alg_step, alpha = src.next, alg.step, params.alpha
+    record, append = transcript.ledger.record, transcript.steps.append
     for t in range(1, max_steps + 1):
-        req = src.next(config)
+        req = source_next(config)
         if req is None:
             break
         req = Request(req.u, req.v, t)
-        pre_moves, post_moves = alg.step(config, req)
-        config, mig_pre = apply_moves(config, pre_moves, params.alpha)
+        pre_moves, post_moves = alg_step(config, req)
+        mig = 0
+        if pre_moves:           # an empty batch changes nothing and costs 0
+            config, mig = apply_moves(config, pre_moves, alpha)
         comm = serve_cost(config, req)
-        config, mig_post = apply_moves(config, post_moves, params.alpha)
-        mig = mig_pre + mig_post
-        transcript.ledger.record(comm, mig)
-        transcript.steps.append(StepRecord(t, req.u, req.v, tuple(pre_moves),
-                                           tuple(post_moves), comm, mig))
+        if post_moves:
+            config, mig_post = apply_moves(config, post_moves, alpha)
+            mig += mig_post
+        record(comm, mig)
+        append(StepRecord(t, req.u, req.v, tuple(pre_moves), tuple(post_moves),
+                          comm, mig))
         if observer is not None:
             observer(t, config, req, comm, mig)
     transcript.snapshots.append((len(transcript.steps), config))

@@ -5,12 +5,12 @@ ell blocks of size k, canonicalized as blocks sorted by least member, so
 relabeling clusters keeps the state (core.min_migration_cost is zero).
 
 `PartitionSpace` keeps each distinct block once, with its nodes as a
-bitmask and its state mask: the bitmask of the states that hold it. No
-state holds two blocks with both u and v, so `sides(u, v)`, the states
-that split them, is all states less the sum of those blocks' state masks.
-A state serves locally just the requests inside its blocks, so
-`static_optimal` prices it as its cost from the start plus every request,
-less the requests inside each of its blocks.
+bitmask, and from the first `sides` call its state mask: the bitmask of
+the states that hold it. No state holds two blocks with both u and v, so
+`sides(u, v)`, the states that split them, is all states less the sum of
+those blocks' state masks. A state serves locally just the requests
+inside its blocks, so `static_optimal` prices it as its cost from the
+start plus every request, less the requests inside each of its blocks.
 
 The cost T[s][t] between two partitions depends only on their overlap
 matrix (|A_r & B_c|) over blocks A_r and B_c, and as every block holds k
@@ -61,7 +61,7 @@ import itertools
 import math
 from collections import Counter
 from functools import reduce
-from operator import floordiv, itemgetter, or_, sub
+from operator import floordiv, getitem, itemgetter, or_, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -88,12 +88,9 @@ class MalformedProfile(RepartError):
     pass
 
 
-def partition_count(n: int, k: int, ell: int) -> int:
-    return math.factorial(n) // (math.factorial(k) ** ell * math.factorial(ell))
-
-
 def _above_cap(n: int, k: int, ell: int) -> bool:
-    """partition_count(n, k, ell) > PARTITION_CAP, without the factorials.
+    """Whether the n! / (k!**ell * ell!) partitions of range(n) into ell
+    blocks of size k are more than PARTITION_CAP, without the factorials.
 
     Block i's least node picks its k - 1 mates from the n - i*k - 1 nodes
     after it, so the count is the product of those binomials. Each is
@@ -152,27 +149,19 @@ class PartitionSpace:
         self.params = params
         self.partitions = enumerate_partitions(params.n, params.k, params.ell)
         self.index: Dict[Partition, int] = {}
-        # block id -> its nodes, their bitmask and its state mask (_blocks,
-        # _masks, _held); _columns[r][s] is the id of state s's block r
+        # block id -> its nodes and their bitmask (_blocks, _masks);
+        # _columns[r][s] is the id of state s's block r
         ids: Dict[Tuple[int, ...], int] = {}
-        held: List[int] = []
         rows = []
         for s, p in enumerate(self.partitions):
             self.index[p] = s
-            row = []
-            for block in p:
-                b = ids.get(block)
-                if b is None:
-                    b = ids[block] = len(held)
-                    held.append(1 << s)
-                else:
-                    held[b] |= 1 << s
-                row.append(b)
-            rows.append(row)
+            rows.append([ids.setdefault(block, len(ids)) for block in p])
         self._blocks = list(ids)
         self._masks = [sum(map((1).__lshift__, b)) for b in self._blocks]
-        self._held = held
         self._columns = list(zip(*rows))
+        # block id -> its state mask, the states that hold it; only `sides`
+        # reads them, so the first call builds them
+        self._held: Optional[List[int]] = None
         self._cost_by_overlap: Dict[Tuple[int, ...], int] = {}
         self._sides: Dict[int, int] = {}
         self._near: Optional[Dict[int, List[int]]] = None
@@ -193,6 +182,11 @@ class PartitionSpace:
         pair = 1 << u | 1 << v
         out = self._sides.get(pair)
         if out is None:
+            if self._held is None:
+                self._held = held = [0] * len(self._blocks)
+                for col in self._columns:
+                    for s, b in enumerate(col):
+                        held[b] |= 1 << s
             together = sum(itertools.compress(
                 self._held, [b & pair == pair for b in self._masks]))
             out = self._sides[pair] = (1 << len(self)) - 1 - together
@@ -425,8 +419,19 @@ def static_optimal(requests: Sequence[Request], params: Params,
                       for r in requests])
     if max(map(itemgetter(1), counts), default=0) >= params.n:
         raise UnknownNode("request node outside [0, %d)" % params.n)
-    inside = [sum(map(counts.get, itertools.combinations(b, 2),
-                      itertools.repeat(0))) for b in space._blocks]
+    inside = [0] * len(space._blocks)       # requests inside each block
+    if params.k > 1:    # else no block holds a pair, and n may be large
+        # table[u][v], u < v: the requests between u and v. A block's nodes
+        # ascend, so one pass per position pair i < j reads table[b_i][b_j]
+        table = [[0] * params.n for _ in range(params.n)]
+        for (u, v), c in counts.items():
+            table[u][v] = c
+        nodes = list(zip(*space._blocks))   # node i of every block
+        pairs = []
+        for i, low in enumerate(nodes[:-1]):
+            rows = list(map(table.__getitem__, low))
+            pairs += [map(getitem, rows, high) for high in nodes[i + 1:]]
+        inside = list(map(sum, zip(*pairs)))
     cost = [c + len(requests) for c in space.row(start)]
     for col in space._columns:
         cost = list(map(sub, cost, map(inside.__getitem__, col)))

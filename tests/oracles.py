@@ -12,7 +12,9 @@ costs from a matrix built one row at a time by `transition_matrix`; the
 migration-distance reference tries every relabeling of the clusters.
 `rescan_peel` is the component peel that re-tests every candidate each
 round, and `recursive_enumerate_partitions` the state enumeration whose
-order the library keeps. `component_sizes` and `pair_counts` read an
+order the library keeps; `partition_count` is the closed-form size of a
+partition space, and `reference_run` the run loop that applies every move
+batch, empty ones too. `component_sizes` and `pair_counts` read an
 algorithm's state in the shape the tests compare. The ring rotations at
 the end are a construction only the adversary tests use.
 """
@@ -36,14 +38,16 @@ from repart.core import (
     TooLarge,
     UnknownCluster,
     UnknownNode,
+    apply_moves,
     min_migration_cost,
+    serve_cost,
 )
+from repart.engine import StepRecord, Transcript
 from repart.offline import (
     PARTITION_CAP,
     Partition,
     PartitionSpace,
     _configuration_of_partition,
-    partition_count,
 )
 
 
@@ -443,6 +447,35 @@ class ScanNaiveCollocator:
         return [], [(mover, target), (evictee, config.cluster_of(mover))]
 
 
+# -- harness reference --------------------------------------------------------
+# engine.run binds its callees once per run and skips empty move batches;
+# this is the plain loop it is checked against.
+
+
+def reference_run(alg, src, params, initial, max_steps, observer=None):
+    """engine.run with every lookup made per step, and apply_moves called
+    on every batch, empty ones included."""
+    config = initial
+    transcript = Transcript(params=params, initial=initial)
+    for t in range(1, max_steps + 1):
+        req = src.next(config)
+        if req is None:
+            break
+        req = Request(req.u, req.v, t)
+        pre_moves, post_moves = alg.step(config, req)
+        config, mig_pre = apply_moves(config, pre_moves, params.alpha)
+        comm = serve_cost(config, req)
+        config, mig_post = apply_moves(config, post_moves, params.alpha)
+        mig = mig_pre + mig_post
+        transcript.ledger.record(comm, mig)
+        transcript.steps.append(StepRecord(t, req.u, req.v, tuple(pre_moves),
+                                           tuple(post_moves), comm, mig))
+        if observer is not None:
+            observer(t, config, req, comm, mig)
+    transcript.snapshots.append((len(transcript.steps), config))
+    return transcript
+
+
 # -- offline references -------------------------------------------------------
 # The library memoises the transition matrix by overlap signature, sweeps only
 # the states a request can raise, and counts serves per distinct pair; these
@@ -465,6 +498,11 @@ def serves(space, request, state):
     """The serve cost of one request in one state of the space."""
     u, v = request.u, request.v
     return 0 if any(u in b and v in b for b in space.partitions[state]) else 1
+
+
+def partition_count(n: int, k: int, ell: int) -> int:
+    """The number of partitions of range(n) into ell blocks of size k."""
+    return math.factorial(n) // (math.factorial(k) ** ell * math.factorial(ell))
 
 
 def recursive_enumerate_partitions(n: int, k: int, ell: int) -> List[Partition]:

@@ -1,6 +1,7 @@
 """Cost model: geometry validation, batched moves, relabeling distance."""
 
 import itertools
+import pickle
 import random
 import time
 
@@ -45,6 +46,31 @@ def test_request_validation():
         Request(2, 2)
     with pytest.raises(UnknownNode):
         Request(-1, 2)
+
+
+def test_request_is_an_immutable_validated_value():
+    r = Request(1, 2, 3)
+    assert repr(r) == "Request(u=1, v=2, t=3)"
+    assert repr(Request(4, 0)) == "Request(u=4, v=0, t=0)"
+    assert r == Request(u=1, v=2, t=3) == Request(1, v=2, t=3)
+    assert r != Request(1, 2) and r != Request(2, 1, 3)
+    assert hash(r) == hash((1, 2, 3))
+    assert (r.u, r.v, r.t) == (1, 2, 3)
+    with pytest.raises(AttributeError):
+        r.u = 5
+    with pytest.raises(AttributeError):
+        r.w = 5
+    assert (r.u, r.v, r.t) == (1, 2, 3)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(r, proto))
+        assert type(back) is Request and back == r
+    # unpickling builds through the validating constructor too
+    with pytest.raises(GeometryError):
+        pickle.loads(pickle.dumps(r).replace(b"K\x02", b"K\x01"))
+    with pytest.raises(GeometryError, match="endpoints must differ, got 2"):
+        Request(u=2, v=2, t=9)
+    with pytest.raises(UnknownNode, match="negative node id"):
+        Request(0, -3)
 
 
 def test_contiguous_layout():

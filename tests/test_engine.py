@@ -1,9 +1,15 @@
 """Harness wiring: move slots, replay fidelity, ratio sentinels."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import reference_run
+from repart import cli
 from repart.adversaries import RandomPairs, RingAdversary
-from repart.core import Params, Request, contiguous_configuration
+from repart.core import Params, RepartError, Request, contiguous_configuration
 from repart.engine import (
     INFINITE,
     UNDEFINED,
@@ -159,3 +165,65 @@ def test_empty_transcript_replay():
     tr = Transcript(params=p, initial=contiguous_configuration(p))
     assert tr.replay().total == 0
     assert tr.step_lines() == []
+
+
+class RandomSwaps:
+    """Swaps two random nodes before the serve, after it, both or neither;
+    a swap within one cluster moves nothing."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def step(self, config, request):
+        nodes = self.rng.sample(range(config.n), 4)
+        slots = []
+        for x, y in (nodes[:2], nodes[2:]):
+            cx, cy = config.cluster_of(x), config.cluster_of(y)
+            slots.append([(x, cy), (y, cx)] if self.rng.random() < 0.3 else [])
+        return slots[0], slots[1]
+
+
+@st.composite
+def run_specs(draw):
+    alg = draw(st.sampled_from(("null", "naive", "greedy", "components",
+                                "swaps")))
+    source = draw(st.sampled_from(("random", "planted", "ring", "pair_chase")))
+    k = 2 if alg == "greedy" or source == "pair_chase" else draw(st.integers(2, 4))
+    ell = draw(st.integers(2, 4))
+    return cli.RunSpec(alg=alg, source=source, n=k * ell, k=k, l=ell,
+                       alpha=draw(st.integers(1, 3)), lam=draw(st.integers(1, 6)),
+                       seed=draw(st.integers(0, 99)),
+                       steps=draw(st.integers(0, 150)), oracle="none")
+
+
+def _outcome(runner, spec):
+    """What a run shows: its records, ledger, final placement and the
+    observer's view of every step, or the error that stopped it."""
+    initial = cli.initial_for(spec)
+    if spec.alg == "swaps":
+        alg = RandomSwaps(spec.seed)
+    else:
+        alg = cli.make_algorithm(spec, initial)
+    start = alg.start if spec.alg == "components" else initial
+    seen = []
+
+    def observer(t, config, req, comm, mig):
+        seen.append((t, req, comm, mig, config.assignment))
+
+    try:
+        tr = runner(alg, cli.make_source(spec), spec.params(), start,
+                    spec.steps, observer=observer)
+    except RepartError as exc:
+        return type(exc), str(exc), seen
+    ledger = tr.ledger
+    return (tr.steps, ledger.comm_total, ledger.mig_total, ledger.per_step,
+            tr.snapshots[-1][1].canonical(), seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_specs())
+def test_run_matches_the_plain_loop(spec):
+    # binding the callees once and skipping empty batches change no step
+    if spec.alg != "swaps":
+        spec.validate()
+    assert _outcome(run, spec) == _outcome(reference_run, spec)

@@ -20,6 +20,7 @@ from oracles import (
     exhaustive_optimal,
     full_scan_optimal_cost,
     pairwise_transitions,
+    partition_count,
     recursive_enumerate_partitions,
     serve_scan_static_optimal,
     transition_matrix,
@@ -34,7 +35,6 @@ from repart.offline import (
     WorkFunction,
     enumerate_partitions,
     optimal_cost,
-    partition_count,
     partition_of_configuration,
     reference_strategies_k2,
     static_optimal,
