@@ -147,18 +147,6 @@ def _pair(a: int, b: int) -> PairKey:
 # (merge sets, where also only the k-vol largest terms count).
 
 
-def _adjacency(weights: Dict[PairKey, int],
-               keep) -> Dict[int, Dict[int, int]]:
-    """Positive weights per component, between components in `keep`; a
-    component without any has no entry."""
-    nbrs: Dict[int, Dict[int, int]] = {}
-    for (a, b), w in weights.items():
-        if w > 0 and a < b and a in keep and b in keep:
-            nbrs.setdefault(a, {})[b] = w
-            nbrs.setdefault(b, {})[a] = w
-    return nbrs
-
-
 def _search_graph(sizes: Dict[int, int], weights: Dict[PairKey, int],
                   seed: Sequence[int]):
     """The non-seed candidates in id order, and by position in that order
@@ -488,23 +476,6 @@ def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
 # The online algorithm proper.
 
 
-def _remap(table: Dict[PairKey, int], inside: Set[int],
-           cid: int) -> Tuple[Dict[PairKey, int], int]:
-    """`table` with the components in `inside` merged into `cid`: a key with
-    one end inside moves onto cid, summing with the keys it lands on; keys
-    with both ends inside are dropped and their total is returned."""
-    out: Dict[PairKey, int] = {}
-    internal = 0
-    for (a, b), w in table.items():
-        a_in, b_in = a in inside, b in inside
-        if a_in and b_in:
-            internal += w
-            continue
-        key = _pair(cid, b if a_in else a) if a_in or b_in else (a, b)
-        out[key] = out.get(key, 0) + w
-    return out, internal
-
-
 class ComponentRepartitioner:
     """Merge-and-reset repartitioner; needs delta >= 4.
 
@@ -536,8 +507,8 @@ class ComponentRepartitioner:
 
         self.weights: Dict[PairKey, int] = {}
         # weights and total weight per component, the warm components
-        # (deg >= alpha) and the hot ones: kept on each increment, rebuilt
-        # after merges and epoch ends
+        # (deg >= alpha) and the hot ones: kept on each increment, and by
+        # _detach on merges and epoch ends
         self.nbrs: Dict[int, Dict[int, int]] = {}
         self.deg: Dict[int, int] = {}
         self.warm: Set[int] = set()
@@ -570,14 +541,6 @@ class ComponentRepartitioner:
         occ, res = self.occupancy(), self.reserved_space()
         return [self.capacity - occ[s] - res[s] for s in range(self.clusters)]
 
-    def _index(self):
-        """Rebuild nbrs, deg, warm and hot from the weights."""
-        self.nbrs = _adjacency(self.weights, self.comp_nodes)
-        self.deg = {c: sum(row.values()) for c, row in self.nbrs.items()}
-        self.warm = {c for c, d in self.deg.items() if d >= self.alpha}
-        self.hot = {c for c, d in self.deg.items()
-                    if d > self.alpha * len(self.comp_nodes[c])}
-
     def _subgraph(self, comps: Set[int]
                   ) -> Tuple[Dict[int, int], Dict[PairKey, int]]:
         """The sizes of `comps` and the weights among them."""
@@ -585,6 +548,53 @@ class ComponentRepartitioner:
                 {(a, b): w for a in comps
                  for b, w in self.nbrs.get(a, {}).items()
                  if a < b and b in comps})
+
+    def _detach(self, members: Sequence[int], cid: Optional[int] = None
+                ) -> int:
+        """Take the members' weights and remote counts out of the tables and
+        return the remote counts among the members. Given `cid`, they merge
+        into it: a pair to an outside d moves onto (d, cid), in order as cid
+        is the largest id, and deg[d] stays. Otherwise their epoch ends: d
+        loses that weight, its marks are re-tested, and an emptied row goes.
+        Only the rows of the members and their neighbours are touched."""
+        weights, remote, nbrs, deg = (self.weights, self.pair_remote,
+                                      self.nbrs, self.deg)
+        alpha, inside, inner = self.alpha, set(members), 0
+        row: Dict[int, int] = {}            # cid's row
+        for c in members:
+            deg.pop(c, None)
+            self.warm.discard(c)
+            self.hot.discard(c)
+            for d, w in nbrs.pop(c, {}).items():
+                key = _pair(c, d)
+                weights.pop(key, None)      # an inner pair is met twice
+                r = remote.pop(key, 0)
+                if d in inside:
+                    inner += r
+                    continue
+                mates = nbrs[d]
+                del mates[c]
+                if cid is not None:
+                    total = row[d] = row.get(d, 0) + w
+                    weights[d, cid] = mates[cid] = total
+                    if r:
+                        remote[d, cid] = remote.get((d, cid), 0) + r
+                    continue
+                deg[d] -= w
+                if deg[d] < alpha:
+                    self.warm.discard(d)
+                if deg[d] <= alpha * len(self.comp_nodes[d]):
+                    self.hot.discard(d)
+                if not mates:
+                    del nbrs[d], deg[d]
+        if row:
+            nbrs[cid] = row
+            total = deg[cid] = sum(row.values())
+            if total >= alpha:
+                self.warm.add(cid)
+                if total > alpha * len(self.comp_nodes[cid]):
+                    self.hot.add(cid)
+        return inner
 
     # -- step ---------------------------------------------------------------
 
@@ -685,13 +695,6 @@ class ComponentRepartitioner:
 
         cid = self.next_cid
         self.next_cid += 1
-        inside = set(members)
-        weights, _ = _remap(self.weights, inside, cid)
-        self.weights = {key: w for key, w in weights.items() if w > 0}
-        self.pair_remote, paid = _remap(self.pair_remote, inside, cid)
-        paid += sum(self.comm_paid.pop(c) for c in members)
-        self.comm_paid[cid] = paid
-
         for c in members:
             del self.comp_nodes[c]
             del self.comp_cluster[c]
@@ -701,7 +704,8 @@ class ComponentRepartitioner:
         self.comp_reserved[cid] = new_reserved
         for node in nodes:
             self.comp_of[node] = cid
-        self._index()
+        self.comm_paid[cid] = self._detach(members, cid) + sum(
+            self.comm_paid.pop(c) for c in members)
         return moves
 
     # -- epoch end ----------------------------------------------------------
@@ -709,9 +713,10 @@ class ComponentRepartitioner:
     def _end_epoch(self, epoch_set: Sequence[int]) -> List[Move]:
         members = list(epoch_set)
         vol = sum(len(self.comp_nodes[c]) for c in members)
-        self._audit_epoch(members, vol)
-
-        inside = set(members)
+        # Splitting reuses node ids as component ids, so node-id keys left
+        # in the weight tables would alias the new singletons; edges
+        # touching the epoch set reset to zero.
+        self._audit_epoch(members, vol, self._detach(members))
         for c in members:
             cluster = self.comp_cluster[c]
             for node in self.comp_nodes[c]:
@@ -726,16 +731,6 @@ class ComponentRepartitioner:
                 del self.comp_cluster[c]
                 del self.comp_reserved[c]
                 del self.comm_paid[c]
-        # Splitting reuses node ids as component ids, so node-id keys that
-        # survive in the weight maps would alias the new singletons; edges
-        # touching the epoch set reset to zero.
-        self.weights = {
-            key: w for key, w in self.weights.items()
-            if key[0] not in inside and key[1] not in inside}
-        self.pair_remote = {
-            key: w for key, w in self.pair_remote.items()
-            if key[0] not in inside and key[1] not in inside}
-        self._index()
 
         moves: List[Move] = []
         evicted = 0
@@ -762,18 +757,15 @@ class ComponentRepartitioner:
                 "epoch end moved %d singletons, cap %.1f" % (evicted, vol / 2 + 1))
         return moves
 
-    def _audit_epoch(self, members: Sequence[int], vol: int):
+    def _audit_epoch(self, members: Sequence[int], vol: int, inner: int):
+        """Audit the epoch; `inner` is the members' uncharged remote serves."""
         migrations = sum(self.move_count[node]
                          for c in members for node in self.comp_nodes[c])
         cap = vol * math.ceil(math.log2(self.k)) if self.k > 1 else 0
         if migrations > cap:
             self.violations.append(
                 "epoch migrations %d exceed %d" % (migrations, cap))
-        paid = sum(self.comm_paid[c] for c in members)
-        inside = set(members)
-        for (a, b), w in self.pair_remote.items():
-            if a in inside and b in inside:
-                paid += w
+        paid = inner + sum(self.comm_paid[c] for c in members)
         if paid > 2 * vol * self.alpha:
             self.violations.append(
                 "epoch remote serves %d exceed %d" % (paid, 2 * vol * self.alpha))
@@ -886,6 +878,10 @@ class ComponentRepartitioner:
             bound = alpha if vol <= k else vol * alpha
             if w >= bound:
                 errs.append("edge %r weight %d breaches %d" % ((a, b), w, bound))
+        # merges and epoch ends find a remote count through its pair's weight
+        if not self.pair_remote.keys() <= self.weights.keys():
+            errs.extend("remote count %r has no weight" % (key,) for key
+                        in self.pair_remote if key not in self.weights)
         for cid, paid in self.comm_paid.items():
             if cid not in sizes:
                 errs.append("payment keyed to dead component %d" % cid)

@@ -4,7 +4,10 @@ The search references enumerate exhaustively with no pruning or early
 exit, so they are slow but obviously faithful to the selection rules;
 they are usable up to roughly ten components. The component reference
 runs the algorithm's searches over every component instead of the narrowed
-candidates, and checks its invariants with one loop per table. The
+candidates, checks its invariants with one loop per table, and on each
+merge and epoch end rewrites both pair tables whole (`_remap`) and rebuilds
+the derived index from the weights (`rebuilt_index`, by `_adjacency`),
+where the algorithm touches only the members' rows. The
 placement and pair-counter references rebuild or scan everything on every
 call, and the offline references scan every pair of states on every
 request, as does the work function's closed-vector reference, and read the
@@ -22,10 +25,12 @@ the end are a construction only the adversary tests use.
 import itertools
 import math
 import weakref
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repart.components import (
     ComponentRepartitioner,
+    PairKey,
+    _pair,
     find_epoch_set,
     find_merge_set,
 )
@@ -239,11 +244,68 @@ def dense_component_graph(rng, k, alpha):
     return sizes, weights
 
 
+def _adjacency(weights: Dict[PairKey, int],
+               keep) -> Dict[int, Dict[int, int]]:
+    """Positive weights per component, between components in `keep`; a
+    component without any has no entry."""
+    nbrs: Dict[int, Dict[int, int]] = {}
+    for (a, b), w in weights.items():
+        if w > 0 and a < b and a in keep and b in keep:
+            nbrs.setdefault(a, {})[b] = w
+            nbrs.setdefault(b, {})[a] = w
+    return nbrs
+
+
+def _remap(table: Dict[PairKey, int], inside: Set[int],
+           cid: int) -> Tuple[Dict[PairKey, int], int]:
+    """`table` with the components in `inside` merged into `cid`: a key with
+    one end inside moves onto cid, summing with the keys it lands on; keys
+    with both ends inside are dropped and their total is returned."""
+    out: Dict[PairKey, int] = {}
+    internal = 0
+    for (a, b), w in table.items():
+        a_in, b_in = a in inside, b in inside
+        if a_in and b_in:
+            internal += w
+            continue
+        key = _pair(cid, b if a_in else a) if a_in or b_in else (a, b)
+        out[key] = out.get(key, 0) + w
+    return out, internal
+
+
+def rebuilt_index(weights, comp_nodes, alpha):
+    """A component algorithm's nbrs, deg, warm and hot, rebuilt from its
+    weights."""
+    nbrs = _adjacency(weights, comp_nodes)
+    deg = {c: sum(row.values()) for c, row in nbrs.items()}
+    return (nbrs, deg, {c for c, d in deg.items() if d >= alpha},
+            {c for c, d in deg.items() if d > alpha * len(comp_nodes[c])})
+
+
 class ReferenceComponents(ComponentRepartitioner):
     """ComponentRepartitioner whose step and residual check search every
     component, as they did before the searches were narrowed to the
-    candidates the merge-exhaustion lemmas leave, and whose invariant check
-    builds the size, occupancy and reservation tables one loop each."""
+    candidates the merge-exhaustion lemmas leave, whose invariant check
+    builds the size, occupancy and reservation tables one loop each, and
+    whose merges and epoch ends rewrite the whole pair tables and rebuild
+    the index on them."""
+
+    def _detach(self, members, cid=None):
+        inside = set(members)
+        if cid is None:
+            inner = sum(w for (a, b), w in self.pair_remote.items()
+                        if a in inside and b in inside)
+            self.weights, self.pair_remote = (
+                {key: w for key, w in table.items()
+                 if key[0] not in inside and key[1] not in inside}
+                for table in (self.weights, self.pair_remote))
+        else:
+            weights, _ = _remap(self.weights, inside, cid)
+            self.weights = {key: w for key, w in weights.items() if w > 0}
+            self.pair_remote, inner = _remap(self.pair_remote, inside, cid)
+        self.nbrs, self.deg, self.warm, self.hot = rebuilt_index(
+            self.weights, self.comp_nodes, self.alpha)
+        return inner
 
     def step(self, config, req):
         u, v = req.u, req.v

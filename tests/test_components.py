@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     ReferenceComponents,
+    _adjacency,
     component_sizes,
     dense_component_graph,
     internal_weight,
@@ -24,6 +25,7 @@ from oracles import (
     naive_epoch_set,
     naive_merge_set,
     random_component_graph,
+    rebuilt_index,
     rescan_peel,
 )
 from repart import components
@@ -31,7 +33,6 @@ from repart.adversaries import PlantedPartition, RandomPairs, TraceSource
 from repart.components import (
     ComponentRepartitioner,
     InsufficientAugmentation,
-    _adjacency,
     _heaviest,
     _peel,
     _within,
@@ -649,6 +650,33 @@ def test_epoch_resets_accounting():
     assert alg.check_invariants(config) == []
 
 
+def test_merges_and_epoch_ends_leave_other_rows_alone():
+    # A merge or an epoch end edits the pair tables and the index in place,
+    # touching only the rows of its members and their neighbours: every
+    # other component keeps the very row object it had before the step.
+    p = Params(18, 3, 6, alpha=1, delta=4)
+    alg = ComponentRepartitioner(p, contiguous_configuration(p))
+    tables = alg.weights, alg.pair_remote, alg.nbrs
+    src, config = RandomPairs(9, 18, 600), alg.start
+    merges = epoch_ends = 0
+    for t in range(1, 601):
+        req = src.next(config)
+        rows, nodes, cid = dict(alg.nbrs), dict(alg.comp_nodes), alg.next_cid
+        pre, post = alg.step(config, Request(req.u, req.v, t))
+        config, _ = apply_moves(config, pre + post, p.alpha)
+        assert all(a is b for a, b in zip(
+            tables, (alg.weights, alg.pair_remote, alg.nbrs)))
+        gone = {c for c in nodes if alg.comp_nodes.get(c) is not nodes[c]}
+        near = gone.union(*(rows.get(c, ()) for c in gone))
+        assert all(alg.nbrs[c] is row
+                   for c, row in rows.items() if c not in near), t
+        merges += alg.next_cid - cid
+        epoch_ends += any(nodes.get(c) is not ns and len(ns) == 1
+                          for c, ns in alg.comp_nodes.items())
+    assert merges > 50 and epoch_ends > 10
+    assert alg.check_invariants(config) == []
+
+
 # -- live-run checks ---------------------------------------------------------
 
 
@@ -697,17 +725,13 @@ def component_streams(draw, ks=(2, 5), most=120):
 
 
 def _same_state(alg, ref):
+    # the pair tables, kept by touching only the members' rows, equal the
+    # reference's whole-table rewrites, and the derived index a rebuild
     for name in ("weights", "pair_remote", "comp_nodes", "comp_cluster",
-                 "comp_reserved"):
+                 "comp_reserved", "comm_paid", "violations"):
         assert getattr(alg, name) == getattr(ref, name), name
-    # the incrementally kept tables equal a rebuild from the weights
-    nbrs = _adjacency(alg.weights, alg.comp_nodes)
-    deg = {c: sum(row.values()) for c, row in nbrs.items()}
-    assert alg.nbrs == nbrs
-    assert alg.deg == deg
-    assert alg.warm == {c for c, d in deg.items() if d >= alg.alpha}
-    assert alg.hot == {c for c, d in deg.items()
-                       if d > alg.alpha * len(alg.comp_nodes[c])}
+    assert (alg.nbrs, alg.deg, alg.warm, alg.hot) == rebuilt_index(
+        ref.weights, ref.comp_nodes, ref.alpha)
 
 
 def _lockstep(params, src, steps):
@@ -992,6 +1016,21 @@ def test_tampering_is_detected():
         "component 0 has no payment record"]
     assert "component 0: nodes=0 cluster=0 reserved=1 paid=none" in (
         fresh.dump_state())
+
+
+def test_remote_count_without_weight_is_detected():
+    # merges and epoch ends reach a remote count through its pair's weight,
+    # so a count on a pair with no weight would be missed; the check names
+    # it after the weight messages and before the payment ones
+    p = Params(8, 2, 4, delta=4)
+    alg = ComponentRepartitioner(p, contiguous_configuration(p))
+    alg.pair_remote[(0, 2)] = 1
+    alg.weights[(4, 6)] = 0
+    alg.comm_paid[5] = 3
+    assert alg.check_invariants(alg.start) == [
+        "weight (4, 6) not positive",
+        "remote count (0, 2) has no weight",
+        "component 5 paid 3 remote serves, cap 0"]
 
 
 def test_dump_state_is_readable():
