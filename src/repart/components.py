@@ -43,7 +43,11 @@ lemmas:
    connected. Seed-only decision: if only the seeds survive, Y is the
    seeds; one component has com 0, and two seeds are left only when they
    formed no merge set, so their w >= vol*alpha >= alpha implies vol > k,
-   and they qualify exactly when w >= vol*alpha.
+   and they qualify exactly when w >= vol*alpha. Cold seeds: if no epoch
+   set was left after the previous step, each one now holds a seed, and
+   each seed s of Y is hot. The step changed nothing inside Y-s, which is
+   nonempty, so were w(s, Y-s) <= alpha*size(s), Y-s would have com >=
+   vol*alpha, so vol > k, and have been an epoch set before the step.
 3. Residual core (no precondition). Take a merge set X of minimum
    cardinality. If |X| = 2, X is a pair with w >= alpha and vol <= k. If
    |X| >= 3, each X-c has at least two members and vol <= k but does not
@@ -98,7 +102,6 @@ more members is cut by find_merge_set's density bound over the candidates
 it can still take.
 """
 
-import math
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -637,19 +640,20 @@ class ComponentRepartitioner:
                 self.nbrs, nodes, key, self.k, alpha, take, heaviest)
             if merge_set:
                 moves += self._merge(merge_set)
-            # lemma 2: the minimum epoch set lies in the dense core of the
-            # seeds and the hot components; with only the seeds left, it is
-            # the two seeds if they qualify
+            # lemma 2: each seed of an epoch set is hot, and the minimum one
+            # lies in the dense core of the seeds and the hot components;
+            # with only the seeds left, it is the two seeds if they qualify
             seeds = tuple({self.comp_of[u], self.comp_of[v]})
-            dense = _peel(self.hot, self.nbrs, seeds,
-                          lambda c: alpha * len(nodes[c]) + 1)
-            if len(dense) > len(seeds) or (
-                    len(seeds) == 2 and w >= (self.k - room) * alpha):
-                epoch_set = find_epoch_set(
-                    *self._subgraph(dense), self.k, alpha, seed=seeds)
-                if epoch_set:
-                    moves += self._end_epoch(epoch_set)
-                    epoch_fired = True
+            if all(c in self.hot for c in seeds):
+                dense = _peel(self.hot, self.nbrs, seeds,
+                              lambda c: alpha * len(nodes[c]) + 1)
+                if len(dense) > len(seeds) or (
+                        len(seeds) == 2 and w >= (self.k - room) * alpha):
+                    epoch_set = find_epoch_set(
+                        *self._subgraph(dense), self.k, alpha, seed=seeds)
+                    if epoch_set:
+                        moves += self._end_epoch(epoch_set)
+                        epoch_fired = True
         fu, fv = self.comp_of[u], self.comp_of[v]
         # the serve that closes an epoch is charged to the epoch it closed,
         # so the new epoch's counters stay at zero
@@ -711,12 +715,16 @@ class ComponentRepartitioner:
     # -- epoch end ----------------------------------------------------------
 
     def _end_epoch(self, epoch_set: Sequence[int]) -> List[Move]:
+        """Split the members into singletons, evict until no cluster is
+        over-committed, and audit the epoch against its three caps."""
         members = list(epoch_set)
         vol = sum(len(self.comp_nodes[c]) for c in members)
         # Splitting reuses node ids as component ids, so node-id keys left
         # in the weight tables would alias the new singletons; edges
         # touching the epoch set reset to zero.
-        self._audit_epoch(members, vol, self._detach(members))
+        paid = self._detach(members) + sum(self.comm_paid[c] for c in members)
+        migrations = sum(self.move_count[node]
+                         for c in members for node in self.comp_nodes[c])
         for c in members:
             cluster = self.comp_cluster[c]
             for node in self.comp_nodes[c]:
@@ -732,43 +740,34 @@ class ComponentRepartitioner:
                 del self.comp_reserved[c]
                 del self.comm_paid[c]
 
+        # min and max take the lowest cluster id among ties
         moves: List[Move] = []
-        evicted = 0
         while True:
-            occ, res = self.occupancy(), self.reserved_space()
-            over = [occ[s] + res[s] - self.capacity for s in range(self.clusters)]
-            worst = max(range(self.clusters), key=lambda s: (over[s], -s))
-            if over[worst] <= 0:
+            free = self.spare()
+            worst = min(range(self.clusters), key=free.__getitem__)
+            if free[worst] >= 0:
                 break
-            singles = sorted(
-                cid for cid, nodes in self.comp_nodes.items()
-                if len(nodes) == 1 and self.comp_cluster[cid] == worst)
+            singles = [cid for cid, nodes in self.comp_nodes.items()
+                       if len(nodes) == 1 and self.comp_cluster[cid] == worst]
             if not singles:
                 raise NoEligibleCluster(
                     "over-committed cluster %d has no singleton to move" % worst)
-            mover = singles[0]
-            spare = [self.capacity - occ[s] - res[s] for s in range(self.clusters)]
-            target = max(range(self.clusters), key=lambda s: (spare[s], -s))
+            mover = min(singles)
+            target = max(range(self.clusters), key=free.__getitem__)
             self.comp_cluster[mover] = target
             moves.append((mover, target))
-            evicted += 1
-        if 2 * evicted > vol + 2:
-            self.violations.append(
-                "epoch end moved %d singletons, cap %.1f" % (evicted, vol / 2 + 1))
-        return moves
 
-    def _audit_epoch(self, members: Sequence[int], vol: int, inner: int):
-        """Audit the epoch; `inner` is the members' uncharged remote serves."""
-        migrations = sum(self.move_count[node]
-                         for c in members for node in self.comp_nodes[c])
-        cap = vol * math.ceil(math.log2(self.k)) if self.k > 1 else 0
+        cap = vol * (self.k - 1).bit_length()   # ceil(log2 k) for k >= 1
         if migrations > cap:
             self.violations.append(
                 "epoch migrations %d exceed %d" % (migrations, cap))
-        paid = inner + sum(self.comm_paid[c] for c in members)
         if paid > 2 * vol * self.alpha:
             self.violations.append(
                 "epoch remote serves %d exceed %d" % (paid, 2 * vol * self.alpha))
+        if 2 * len(moves) > vol + 2:
+            self.violations.append(
+                "epoch end moved %d singletons, cap %.1f" % (len(moves), vol / 2 + 1))
+        return moves
 
     # -- inspection ---------------------------------------------------------
 

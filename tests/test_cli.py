@@ -349,6 +349,48 @@ def test_compare_takes_its_algorithms_from_the_config_file(tmp_path, capsys):
     assert set(json.loads(capsys.readouterr().out)["runs"]) == {"greedy"}
 
 
+def test_verify_via_main_prints_its_verdict(capsys):
+    assert cli.main(["verify", "--alg", "components", "--source", "random",
+                     "--n", "9", "--k", "3", "--l", "3", "--alpha", "2",
+                     "--seed", "1", "--steps", "300"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "PASS components: 300 steps, all per-step checks hold\n")
+    assert captured.err == ""
+
+
+def test_verify_reports_a_surviving_merge_set():
+    # Three singletons with pair weights 2, 2 and 2 at k = 3, alpha = 3:
+    # com = 6 = (3 - 1) * 3 makes them a merge set, while every pair stays
+    # below alpha, so check_invariants is clean and only the residual check
+    # finds it.
+    def tamper(t, alg):
+        if t == 1:
+            assert all(len(alg.comp_nodes[c]) == 1 for c in (6, 7, 8))
+            for key in ((6, 7), (6, 8), (7, 8)):
+                alg.weights[key] = 2
+
+    spec = _spec(alg="components", source="random", n=9, k=3, l=3,
+                 alpha=3, delta=4, steps=20, seed=1)
+    code, text = cli.cmd_verify(spec, tamper=tamper)
+    assert code == 1
+    assert text.startswith(
+        "FAIL components\nstep 1\nqualifying merge set survived the step\n")
+
+
+def test_config_file_errors(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for text, err in (
+            ("alg=null\nsource random\n",
+             "error: config line 'source random' is not key=value\n"),
+            ("alg=null\nsource=bogus\nn=4\nk=2\nl=2\n",
+             "error: unknown source 'bogus'\n")):
+        cfg.write_text(text)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
+
 def test_verify_with_out_is_an_error(tmp_path, capsys):
     # verify writes no report, so --out would be silently dropped
     out = tmp_path / "ver.json"

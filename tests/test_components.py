@@ -677,6 +677,53 @@ def test_merges_and_epoch_ends_leave_other_rows_alone():
     assert alg.check_invariants(config) == []
 
 
+@pytest.mark.parametrize("edits, expected", [
+    ({"move_count": {2: 4}}, ["epoch migrations 4 exceed 3"]),
+    ({"comm_paid": {8: 7}}, ["epoch remote serves 7 exceed 6"]),
+    ({"comp_cluster": {3: 0, 4: 0, 5: 0}},
+     ["epoch end moved 4 singletons, cap 2.5"]),
+    ({"move_count": {2: 4}, "comm_paid": {8: 7},
+      "comp_cluster": {3: 0, 4: 0, 5: 0}},
+     ["epoch migrations 4 exceed 3", "epoch remote serves 7 exceed 6",
+      "epoch end moved 4 singletons, cap 2.5"]),
+])
+def test_epoch_end_audits_its_three_caps(edits, expected):
+    # The epoch of test_epoch_splits_and_evicts_one_singleton on eight
+    # nodes: {0, 2} (component 8, node 2 moved once) and {1}, vol 3, so the
+    # caps are 3 * ceil(log2 2) = 3 migrations, 2 * 3 * 1 = 6 remote serves
+    # and 3/2 + 1 evictions. Edits just before the step that ends it break
+    # one cap each; three singletons more in cluster 0 force four evictions.
+    p = Params(8, 2, 4, delta=4)
+    alg = ComponentRepartitioner(p, contiguous_configuration(p))
+    config, _ = _drive(alg, alg.start, [(0, 2), (0, 1), (0, 1)])
+    assert alg.comp_nodes[8] == [0, 2] and alg.move_count[2] == 1
+    for name, values in edits.items():
+        getattr(alg, name).update(values)
+    _drive(alg, config, [(0, 1)])
+    assert all(len(nodes) == 1 for nodes in alg.comp_nodes.values())
+    assert alg.violations == expected
+    assert alg.check_invariants()[:len(expected)] == expected
+
+
+def test_invariant_check_reports_partition_occupancy_and_headroom():
+    # messages that no consistent state produces: a node in no component,
+    # a node in two, and a layout with no cluster keeping k spare slots
+    p = Params(4, 2, 2, delta=4)
+    alg = ComponentRepartitioner(p, contiguous_configuration(p))
+    alg.comp_nodes[0] = [1]
+    assert alg.check_invariants() == [
+        "node 1 not mapped to component 0",
+        "components do not partition the node set"]
+    alg.comp_nodes[0] = [0, 1]
+    assert alg.check_invariants() == [
+        "node 1 not mapped to component 0",
+        "occupancy sums to 5, not 4",
+        "cluster 0 over capacity: o=3 r=2"]
+    alg.comp_nodes[0] = [0]
+    alg.clusters = 2                    # the two empty clusters gone
+    assert alg.check_invariants() == ["no cluster keeps k spare slots"]
+
+
 # -- live-run checks ---------------------------------------------------------
 
 
@@ -699,6 +746,29 @@ def test_no_qualifying_set_survives_any_step():
 
         run(alg, RandomPairs(n * k, n, 250), p, alg.start, 250,
             observer=check)
+
+
+def test_no_epoch_set_survives_any_step():
+    # The premise of lemma 2's cold-seed skip and of its connectivity
+    # remark: after every step no epoch set is left, by the literal
+    # enumeration over all components.
+    steps = 0
+    for n, k, ell in ((4, 2, 2), (6, 2, 3), (6, 3, 2), (8, 2, 4), (8, 4, 2),
+                      (9, 3, 3)):
+        for alpha in (1, 2):
+            p = Params(n, k, ell, alpha=alpha, delta=4)
+            for src in (RandomPairs(n + alpha, n, 400),
+                        PlantedPartition(n + alpha, p, 0.9, 0.1, steps=400)):
+                alg = ComponentRepartitioner(p, contiguous_configuration(p))
+
+                def check(t, config, req, comm, mig, alg=alg, k=k,
+                          alpha=alpha):
+                    assert naive_epoch_set(component_sizes(alg), alg.weights,
+                                           k, alpha) == (), t
+
+                steps += len(run(alg, src, p, alg.start, 400,
+                                 observer=check).steps)
+    assert steps == 9600
 
 
 @st.composite
