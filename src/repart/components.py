@@ -16,8 +16,8 @@ A merge set X has |X| >= 2, vol(X) <= k and com(X) >= (|X|-1)*alpha; an
 epoch set Y has vol(Y) > k and com(Y) >= vol(Y)*alpha. The state is
 merge-exhausted when no merge set exists. deg(c) is the total weight of
 component c, and c is hot when deg(c) > alpha*size(c). Weights are positive
-integers and sizes at least 1, so the searches can be narrowed by four
-lemmas:
+integers and sizes at least 1, so the searches can be narrowed, or
+skipped, by five lemmas:
 
 1. Merge core (precondition: merge-exhausted before the step's weight
    increment on the pair S of touched components). Every merge set X now
@@ -33,17 +33,16 @@ lemmas:
    tight, com(X) = (|X|-1)*alpha: before the increment X had |X| >= 2 and
    vol(X) <= k but did not qualify, so com(X) <= (|X|-1)*alpha - 1, as
    weights are integers, and the increment added 1 to com(X), as X holds S.
-2. Epoch core (precondition: merge-exhausted, which holds after the merge,
-   since a set with the new component would have extended the maximum X).
+2. Epoch core (precondition: merge-exhausted, which holds when the step's
+   walk found no merge set, as by lemma 1 each one would hold the pair S).
    A nonempty set with com >= vol*alpha then has vol > k: a singleton has
    com 0, and a larger set of vol <= k would be a merge set. So each c
    outside the seed of a minimum-cardinality Y has w(c, Y-c) >
    alpha*size(c), or else Y-c, which holds the seed, would be a smaller
    epoch set; so c is hot. If moreover no epoch set avoids the seed, Y is
-   connected. Seed-only decision: if only the seeds survive, Y is the
-   seeds; one component has com 0, and two seeds are left only when they
-   formed no merge set, so their w >= vol*alpha >= alpha implies vol > k,
-   and they qualify exactly when w >= vol*alpha. Cold seeds: if no epoch
+   connected. Seed-only decision: if only the seeds survive, Y is the pair
+   S, which formed no merge set, so w >= vol*alpha >= alpha implies vol >
+   k, and S qualifies exactly when w >= vol*alpha. Cold seeds: if no epoch
    set was left after the previous step, each one now holds a seed, and
    each seed s of Y is hot. The step changed nothing inside Y-s, which is
    nonempty, so were w(s, Y-s) <= alpha*size(s), Y-s would have com >=
@@ -67,19 +66,26 @@ lemmas:
    (|A|-1)*alpha and com(B) < (|B|-1)*alpha, com(X) would fall below
    (|X|-2)*alpha. Either way one part of at least two members reaches
    (|part|-1)*alpha with vol <= vol(X) <= k: a smaller merge set.
+5. No epoch set after a merge (precondition: merge-exhausted and no epoch
+   set before a step that merges X into M). A set without M kept its
+   weights. For Y with M, Y' = Y - M + X has vol(Y') = vol(Y) and com(Y') =
+   com(Y) + com(X), where com(X) >= (|X|-1)*alpha >= alpha. Before the
+   increment, which added 1 to com(Y'), com(Y') <= alpha*vol(Y') - 1, as Y'
+   was no epoch set or, at vol(Y') <= k, no merge set of |Y'| >= 2 members.
+   So com(Y) <= alpha*vol(Y) - alpha.
 
 In each case every answer lies in what survives peeling (peeling removes c
 only when its weight into a superset of the answer is already too low), so
 the public searches, run on the survivors, return exactly what they return
-on all components. A peel has one fixpoint, so starting it from any
-superset of its survivors, such as the hot components and the seeds, leaves
-the same set. `step` relies on lemmas 1 and 2 and so on the invariant that
+on all components. A peel has one fixpoint, so starting it from any superset
+of its survivors, such as the hot components and the seeds, leaves the same
+set. `step` relies on lemmas 1, 2 and 5 and so on the invariant that
 `residual_merge_set` checks after every step; that check relies on lemmas 3
-and 4 only. With no qualifying pair, a merge set of minimum cardinality
-lies in the core (lemma 3) and is connected (lemma 4), so the check asks
-only whether the core's connected sets hold a merge set. It returns the
-first witness it meets, a qualifying pair or a set a core walk found, not
-the largest merge set, so no search beyond that walk ever runs.
+and 4 only. With no qualifying pair, a merge set of minimum cardinality lies
+in the core (lemma 3) and is connected (lemma 4), so the check asks only
+whether the core's connected sets hold a merge set. It returns the first
+witness it meets, a qualifying pair or a set a core walk found, not the
+largest merge set, so no search beyond that walk ever runs.
 
 One walk, ESU (Wernicke 2006, "Efficient detection of network motifs"),
 serves both: it visits the connected sets that hold a seed, taking their
@@ -602,70 +608,60 @@ class ComponentRepartitioner:
     # -- step ---------------------------------------------------------------
 
     def step(self, config: Configuration, req: Request) -> Tuple[List[Move], List[Move]]:
-        u, v = req.u, req.v
-        cu, cv = self.comp_of[u], self.comp_of[v]
-        moves: List[Move] = []
-        epoch_fired = False
-        if cu != cv:
-            key = _pair(cu, cv)
-            w = self.weights[key] = self.weights.get(key, 0) + 1
-            self.nbrs.setdefault(cu, {})[cv] = w
-            self.nbrs.setdefault(cv, {})[cu] = w
-            nodes, alpha, deg, warm = (self.comp_nodes, self.alpha, self.deg,
-                                       self.warm)
-            for c in key:
-                deg[c] = deg.get(c, 0) + 1
-                if deg[c] >= alpha:
-                    warm.add(c)
-                    if deg[c] > alpha * len(nodes[c]):
-                        self.hot.add(c)
-            # lemma 1: every merge set is a connected superset of the seed
-            # whose other members are warm; from room 3 up, the walk keeps
-            # to their core within `room` hops of the seed and cuts by
-            # density
-            room = self.k - len(nodes[cu]) - len(nodes[cv])
-            take, heaviest = warm, None
-            if room > 2:
-                near = _within(self.nbrs, key, room, lambda c: (
-                    c in warm and len(nodes[c]) <= room))
-                if len(near) > 2:
-                    near = _peel(near, self.nbrs, key, lambda c: alpha,
-                                 lambda c: room + 1)
-                near.difference_update(key)
-                heaviest = {c: _heaviest([x for d, x in self.nbrs[c].items()
-                                          if d in near], room)
-                            for c in near}
-                take = near
-            merge_set, _ = _connected_merge_set(
-                self.nbrs, nodes, key, self.k, alpha, take, heaviest)
-            if merge_set:
-                moves += self._merge(merge_set)
-            # lemma 2: each seed of an epoch set is hot, and the minimum one
-            # lies in the dense core of the seeds and the hot components;
-            # with only the seeds left, it is the two seeds if they qualify
-            seeds = tuple({self.comp_of[u], self.comp_of[v]})
-            if all(c in self.hot for c in seeds):
-                dense = _peel(self.hot, self.nbrs, seeds,
-                              lambda c: alpha * len(nodes[c]) + 1)
-                if len(dense) > len(seeds) or (
-                        len(seeds) == 2 and w >= (self.k - room) * alpha):
-                    epoch_set = find_epoch_set(
-                        *self._subgraph(dense), self.k, alpha, seed=seeds)
-                    if epoch_set:
-                        moves += self._end_epoch(epoch_set)
-                        epoch_fired = True
-        fu, fv = self.comp_of[u], self.comp_of[v]
-        # the serve that closes an epoch is charged to the epoch it closed,
-        # so the new epoch's counters stay at zero
-        if not epoch_fired and self.comp_cluster[fu] != self.comp_cluster[fv]:
-            pk = _pair(fu, fv)
-            self.pair_remote[pk] = self.pair_remote.get(pk, 0) + 1
-        return moves, []
+        cu, cv = self.comp_of[req.u], self.comp_of[req.v]
+        if cu == cv:
+            return [], []
+        key = _pair(cu, cv)
+        w = self.weights[key] = self.weights.get(key, 0) + 1
+        self.nbrs.setdefault(cu, {})[cv] = w
+        self.nbrs.setdefault(cv, {})[cu] = w
+        nodes, alpha, deg, warm, hot = (self.comp_nodes, self.alpha, self.deg,
+                                        self.warm, self.hot)
+        for c in key:
+            deg[c] = deg.get(c, 0) + 1
+            if deg[c] >= alpha:
+                warm.add(c)
+                if deg[c] > alpha * len(nodes[c]):
+                    hot.add(c)
+        # lemma 1: every merge set is a connected superset of the seed whose
+        # other members are warm; from room 3 up, the walk keeps to their
+        # core within `room` hops of the seed and cuts by density
+        room = self.k - len(nodes[cu]) - len(nodes[cv])
+        take, heaviest = warm, None
+        if room > 2:
+            near = _within(self.nbrs, key, room, lambda c: (
+                c in warm and len(nodes[c]) <= room))
+            if len(near) > 2:
+                near = _peel(near, self.nbrs, key, lambda c: alpha,
+                             lambda c: room + 1)
+            near.difference_update(key)
+            heaviest = {c: _heaviest([x for d, x in self.nbrs[c].items()
+                                      if d in near], room)
+                        for c in near}
+            take = near
+        merge_set, _ = _connected_merge_set(
+            self.nbrs, nodes, key, self.k, alpha, take, heaviest)
+        if merge_set:                   # lemma 5: no epoch set is left
+            return self._merge(merge_set), []
+        # lemma 2: an epoch set's seeds are hot, the minimum one lies in the
+        # dense core of S and the hot components, and is S if only S is left
+        if cu in hot and cv in hot:
+            dense = _peel(hot, self.nbrs, key,
+                          lambda c: alpha * len(nodes[c]) + 1)
+            if len(dense) > 2 or w >= (self.k - room) * alpha:
+                epoch_set = find_epoch_set(*self._subgraph(dense), self.k,
+                                           alpha, seed=key)
+                if epoch_set:
+                    # the serve that closes an epoch is charged to the epoch
+                    # it closed, so the new epoch's counters stay at zero
+                    return self._end_epoch(epoch_set), []
+        if self.comp_cluster[cu] != self.comp_cluster[cv]:
+            self.pair_remote[key] = self.pair_remote.get(key, 0) + 1
+        return [], []
 
     # -- merging ------------------------------------------------------------
 
-    def _merge(self, merge_set: Sequence[int]) -> List[Move]:
-        members = list(merge_set)
+    def _merge(self, members: Sequence[int]) -> List[Move]:
         vol = sum(len(self.comp_nodes[c]) for c in members)
         anchor = max(members, key=lambda c: (
             self.comp_reserved[c], len(self.comp_nodes[c]), -c))
@@ -714,10 +710,9 @@ class ComponentRepartitioner:
 
     # -- epoch end ----------------------------------------------------------
 
-    def _end_epoch(self, epoch_set: Sequence[int]) -> List[Move]:
+    def _end_epoch(self, members: Sequence[int]) -> List[Move]:
         """Split the members into singletons, evict until no cluster is
         over-committed, and audit the epoch against its three caps."""
-        members = list(epoch_set)
         vol = sum(len(self.comp_nodes[c]) for c in members)
         # Splitting reuses node ids as component ids, so node-id keys left
         # in the weight tables would alias the new singletons; edges

@@ -98,8 +98,8 @@ def _above_cap(n: int, k: int, ell: int) -> bool:
     factor is above 1 and C(top, j) >= 2**j, so the running product passes
     the cap within log2(PARTITION_CAP) + 1 factors.
     """
-    if k == 1:
-        return False            # one way to fill each block
+    if k == 1:      # one partition, but pricing its n blocks costs O(n^2)
+        return n > PARTITION_CAP
     count = 1
     for i in range(ell - 1):    # the last block takes the nodes left over
         top = n - i * k - 1
@@ -115,7 +115,11 @@ def enumerate_partitions(n: int, k: int, ell: int) -> List[Partition]:
     if n != k * ell:
         raise TooLarge("n must equal k * ell")
     if _above_cap(n, k, ell):
-        raise TooLarge("partition space above %d states" % PARTITION_CAP)
+        raise TooLarge("partition space above %d states" % PARTITION_CAP
+                       if k > 1 else "n above %d at k = 1: one state, but "
+                       "O(n^2) work to price it" % PARTITION_CAP)
+    if k == 1:                  # build would recurse once per block
+        return [tuple((v,) for v in range(n))]
     out: List[Partition] = []
 
     def build(left: List[int], acc: Partition):

@@ -100,6 +100,8 @@ def test_group_phases_initial_layout():
     assert tuple(config.assignment) == (1, 0, 0, 0, 1, 1)
     with pytest.raises(GeometryError):
         group_phases_initial(Params(12, 3, 4))
+    with pytest.raises(GeometryError):
+        GroupPhases(Params(12, 3, 4))
 
 
 def test_group_phases_against_threshold_collocator():
@@ -176,6 +178,10 @@ def test_paging_initial_layout():
     config = paging_initial(Params(8, 4, 2))
     # items 0..2 sit with the dummy (node 4); item 3 sits opposite
     assert tuple(config.assignment) == (0, 0, 0, 1, 0, 1, 1, 1)
+    with pytest.raises(GeometryError):
+        paging_initial(Params(12, 4, 3))
+    with pytest.raises(GeometryError):
+        PagingStream(Params(12, 4, 3), [])
 
 
 def test_paging_stream_shape():
@@ -258,6 +264,8 @@ def test_planted_partition_degenerate_rates():
         assert r.u // 2 == r.v // 2
         r = inter.next(None)
         assert r.u // 2 != r.v // 2
+    # the step budget is spent, and a finished source stays finished
+    assert intra.next(None) is intra.next(None) is None
 
 
 def test_planted_partition_intra_rate_matches_expectation():

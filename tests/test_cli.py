@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 import weakref
 from dataclasses import replace
 
@@ -425,6 +426,17 @@ def test_naive_never_migrates_at_k_1(capsys):
     assert (report["on_mig"], report["ratio"]) == (0, "1/1")
 
 
+@pytest.mark.parametrize("oracle", ("dp", "static"))
+def test_k_1_spaces_are_priced_or_refused_at_once(oracle):
+    # one state of n one-node blocks, which splits every request; pricing
+    # it costs O(n^2), so above the cap the oracle gives up before it starts
+    spec = _spec(alg="null", n=1000, k=1, l=1000, steps=10, oracle=oracle)
+    assert cli.cmd_run(spec)["off_total"] == 10
+    started = time.perf_counter()
+    assert cli.cmd_run(replace(spec, n=100000, l=100000))["off_total"] is None
+    assert time.perf_counter() - started < 1.0
+
+
 def test_run_via_main_prints_json(capsys):
     rc = cli.main(["run", "--alg", "null", "--source", "ring", "--n", "6",
                    "--k", "2", "--l", "3", "--steps", "12"])
@@ -493,6 +505,10 @@ _INPUT_FILES = {
      "--l", "2", "--steps", "-5"],
     ["run", "--alg", "null", "--source", "paging", "--n", "6", "--k", "3",
      "--l", "2", "--trace", "words.txt"],              # item x
+    ["run", "--alg", "null", "--source", "random", "--n", "1", "--k", "1",
+     "--l", "1"],                                      # one node, no pair
+    ["run", "--alg", "null", "--source", "paging", "--n", "9", "--k", "3",
+     "--l", "3", "--trace", "pages.txt"],              # three clusters
 ])
 def test_bad_input_is_an_error(argv, tmp_path, monkeypatch, capsys):
     for name, text in _INPUT_FILES.items():

@@ -80,6 +80,8 @@ def test_merge_search_boundaries():
     assert find_merge_set(sizes, {}, 2, 1) == ()
     # volume cap keeps a heavy pair out
     assert find_merge_set({1: 2, 2: 1}, {(1, 2): 9}, 2, 1) == ()
+    # weights are read under (low, high) keys, and only when positive
+    assert find_merge_set(sizes, {(1, 2): 0, (2, 1): 9}, 2, 1) == ()
 
 
 def test_merge_search_prefers_cardinality_then_weight_then_ids():
@@ -101,6 +103,8 @@ def test_epoch_search_minimality():
     # requirement scales with volume
     assert find_epoch_set({1: 2, 2: 2}, {(1, 2): 3}, 3, 1) == ()
     assert find_epoch_set({1: 2, 2: 2}, {(1, 2): 4}, 3, 1) == (1, 2)
+    # weights are read under (low, high) keys, and only when positive
+    assert find_epoch_set({1: 1, 2: 1}, {(1, 2): 0, (2, 1): 9}, 1, 1) == ()
 
 
 def test_seed_restricts_the_merge_search():
@@ -218,6 +222,8 @@ def test_residual_check_walks_the_core_from_every_root():
     # growing at vol k-1, misses the merge set.
     sizes = dict.fromkeys(range(1, 6), 1)
     assert _residual(3, 3, sizes, CORE_WEIGHTS) == (2, 3, 4)
+    # a weight that is not positive carries no traffic
+    assert _residual(3, 3, sizes, {**CORE_WEIGHTS, (3, 4): 0}) == ()
 
 
 def _core_walks(monkeypatch):
@@ -999,9 +1005,49 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     assert moved > 50                    # merges and epoch ends happened
     assert counts["find_merge_set"] == 0
     assert counts["walk visits"] <= 15058
-    assert counts["find_epoch_set"] <= 459
-    assert counts["_subgraph"] <= 1054
+    assert counts["find_epoch_set"] <= 347
+    assert counts["_subgraph"] <= 347
     assert counts["core walk visits"] <= 2918
+
+
+def test_a_step_that_merges_ends_there(monkeypatch):
+    # Lemma 5: a merge leaves no epoch set, so the step returns right after
+    # it. On these grid-shaped inputs (seeds 0-149, planted and random), a
+    # step that went on to the epoch side after its merge made 388 peels
+    # and 200 searches, and every search came back empty.
+    late = {"_peel": 0, "find_epoch_set": 0}
+    merged = []                          # nonempty once the step merged
+    step, merge = ComponentRepartitioner.step, ComponentRepartitioner._merge
+
+    def stepping(self, config, req):
+        merged.clear()
+        return step(self, config, req)
+
+    def merging(self, merge_set):
+        merged.append(merge_set)
+        return merge(self, merge_set)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            late[name] += bool(merged)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(ComponentRepartitioner, "step", stepping)
+    monkeypatch.setattr(ComponentRepartitioner, "_merge", merging)
+    monkeypatch.setattr(components, "_peel", counted("_peel", _peel))
+    monkeypatch.setattr(components, "find_epoch_set",
+                        counted("find_epoch_set", find_epoch_set))
+    p = Params(16, 4, 4, alpha=3, delta=4)
+    merges = 0
+    for seed in range(150):
+        for src in (PlantedPartition(seed, p, 0.9, 0.1, steps=100),
+                    RandomPairs(seed, 16, 100)):
+            alg = ComponentRepartitioner(p, contiguous_configuration(p))
+            run(alg, src, p, alg.start, 100)
+            merges += alg.next_cid - p.n
+    assert merges == 1561
+    assert late == {"_peel": 0, "find_epoch_set": 0}
 
 
 def test_residual_check_on_corrupted_states_runs_no_full_search(monkeypatch):

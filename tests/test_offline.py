@@ -554,8 +554,9 @@ def test_state_cap_check_matches_the_exact_count():
 
 def test_state_cap_check_needs_no_factorials():
     # the exact count at n = 200000 is seconds of bignum work; the cap
-    # check stops after the first binomial factor passes the cap
-    for k in (2, 100000):
+    # check stops after the first binomial factor passes the cap. At k = 1
+    # it reads n alone: the one state's n blocks cost O(n^2) to price
+    for k in (1, 2, 100000):
         started = time.perf_counter()
         with pytest.raises(TooLarge):
             PartitionSpace(Params(200000, k, 200000 // k))
