@@ -236,6 +236,8 @@ def cmd_verify(spec: RunSpec, tamper: Optional[Callable] = None) -> Tuple[int, s
                 errs = alg.check_invariants(config)
                 if not errs and alg.residual_merge_set():
                     errs = ["qualifying merge set survived the step"]
+                if not errs and alg.residual_epoch_set():
+                    errs = ["epoch set survived the step"]
                 if errs:
                     raise _VerifyAbort("step %d\n%s\n%s" % (
                         t, "\n".join(errs), alg.dump_state()))

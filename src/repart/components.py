@@ -17,7 +17,7 @@ epoch set Y has vol(Y) > k and com(Y) >= vol(Y)*alpha. The state is
 merge-exhausted when no merge set exists. deg(c) is the total weight of
 component c, and c is hot when deg(c) > alpha*size(c). Weights are positive
 integers and sizes at least 1, so the searches can be narrowed, or
-skipped, by five lemmas:
+skipped, by five lemmas, and the epoch search made one min cut by a sixth:
 
 1. Merge core (precondition: merge-exhausted before the step's weight
    increment on the pair S of touched components). Every merge set X now
@@ -40,13 +40,11 @@ skipped, by five lemmas:
    outside the seed of a minimum-cardinality Y has w(c, Y-c) >
    alpha*size(c), or else Y-c, which holds the seed, would be a smaller
    epoch set; so c is hot. If moreover no epoch set avoids the seed, Y is
-   connected. Seed-only decision: if only the seeds survive, Y is the pair
-   S, which formed no merge set, so w >= vol*alpha >= alpha implies vol >
-   k, and S qualifies exactly when w >= vol*alpha. Cold seeds: if no epoch
-   set was left after the previous step, each one now holds a seed, and
-   each seed s of Y is hot. The step changed nothing inside Y-s, which is
-   nonempty, so were w(s, Y-s) <= alpha*size(s), Y-s would have com >=
-   vol*alpha, so vol > k, and have been an epoch set before the step.
+   connected. Cold seeds: if no epoch set was left after the previous step,
+   each one now holds a seed, and each seed s of Y is hot. The step changed
+   nothing inside Y-s, which is nonempty, so were w(s, Y-s) <=
+   alpha*size(s), Y-s would have com >= vol*alpha, so vol > k, and have
+   been an epoch set before the step.
 3. Residual core (no precondition). Take a merge set X of minimum
    cardinality. If |X| = 2, X is a pair with w >= alpha and vol <= k. If
    |X| >= 3, each X-c has at least two members and vol <= k but does not
@@ -73,19 +71,39 @@ skipped, by five lemmas:
    increment, which added 1 to com(Y'), com(Y') <= alpha*vol(Y') - 1, as Y'
    was no epoch set or, at vol(Y') <= k, no merge set of |Y'| >= 2 members.
    So com(Y) <= alpha*vol(Y) - alpha.
+6. Epoch cut (precondition: no merge set and no epoch set before the step,
+   and no merge set after it). Say f(Y) = com(Y) - alpha*vol(Y). Before the
+   step f(Y) <= -1 for every nonempty Y: a singleton has com 0, and a
+   larger set was no epoch set or, at vol <= k, no merge set. The step
+   added 1 to f of the sets that hold S only, so f(Y) <= 0 for Y holding S,
+   and by lemma 2 the epoch sets are the sets holding S with f(Y) = 0. com
+   is supermodular and vol modular, so f(A&B) + f(A|B) >= f(A) + f(B): the
+   sets holding S with f = 0 are closed under intersection, and their
+   intersection is the least epoch set, the one of least cardinality that
+   find_epoch_set returns. Within any D that holds it, -2f(Y) is the sum
+   over c in Y of b(c) = 2*alpha*size(c) - w(c, D), plus the weight from Y
+   to D-Y: a modular term plus a cut function, whose minimum over the Y
+   with S <= Y <= D is one s-t min cut with S contracted into s (Picard &
+   Queyranne 1982, "Selected applications of minimum cuts in networks").
+   An epoch set exists iff the minimum is 0, and the least minimiser is
+   what s reaches in the residual graph of a maximum flow. Without the
+   precondition the cut still returns a set with f >= 0 whenever one holds
+   S, as its minimum is then at most 0.
 
 In each case every answer lies in what survives peeling (peeling removes c
 only when its weight into a superset of the answer is already too low), so
 the public searches, run on the survivors, return exactly what they return
 on all components. A peel has one fixpoint, so starting it from any superset
 of its survivors, such as the hot components and the seeds, leaves the same
-set. `step` relies on lemmas 1, 2 and 5 and so on the invariant that
-`residual_merge_set` checks after every step; that check relies on lemmas 3
-and 4 only. With no qualifying pair, a merge set of minimum cardinality lies
-in the core (lemma 3) and is connected (lemma 4), so the check asks only
-whether the core's connected sets hold a merge set. It returns the first
-witness it meets, a qualifying pair or a set a core walk found, not the
-largest merge set, so no search beyond that walk ever runs.
+set. `step` relies on lemmas 1, 2, 5 and 6 and so on the invariants that
+`residual_merge_set` and `residual_epoch_set` check after every step. The
+merge check relies on lemmas 3 and 4 only. With no qualifying pair, a merge
+set of minimum cardinality lies in the core (lemma 3) and is connected
+(lemma 4), so the check asks only whether the core's connected sets hold a
+merge set. It returns the first witness it meets, a qualifying pair or a
+set a core walk found, not the largest merge set, so no search beyond that
+walk ever runs. The epoch check relies on the cut only, with no premise
+(see its docstring).
 
 One walk, ESU (Wernicke 2006, "Efficient detection of network motifs"),
 serves both: it visits the connected sets that hold a seed, taking their
@@ -134,7 +152,12 @@ def _pair(a: int, b: int) -> PairKey:
 
 
 # ---------------------------------------------------------------------------
-# Subset searches over a weighted component graph.
+# Subset searches over a weighted component graph, and the epoch cut.
+#
+# The step calls neither exhaustive search: it walks its merge sets with
+# _connected_merge_set and decides its epoch ends by one min cut,
+# _epoch_cut (lemma 6). find_merge_set and find_epoch_set stay as the
+# exact references that criterion 6 and the tests check those against.
 #
 # Both searches grow subsets of the candidate ids depth first, adding members
 # in ascending id order. That order plus a full-key comparison gives the
@@ -481,6 +504,84 @@ def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
     return best[2], visits
 
 
+def _epoch_cut(nbrs: Dict[int, Dict[int, int]], nodes: Dict[int, List[int]],
+               dense: Set[int], seed: Sequence[int], alpha: int
+               ) -> Tuple[int, ...]:
+    """The least Y with seed <= Y <= dense that minimises
+    2*(alpha*vol(Y) - com(Y)), sorted, if that minimum is at most 0, else ().
+
+    One min cut (lemma 6): the seeds contract into the source 0; a non-seed
+    c with b(c) = 2*alpha*size(c) - w(c, dense) > 0 has an arc of capacity
+    b(c) to the sink 1, one with b(c) < 0 an arc of capacity -b(c) from 0
+    and its b(c) in the constant; each pair's weight is an arc both ways.
+    The minimum is the constant plus a maximum flow, which Dinic's blocking
+    flows with current-arc pointers find; they stop early once the sum
+    passes 0. The least minimiser is what 0 still reaches, as the last
+    breadth-first search marks."""
+    at = dict.fromkeys(seed, 0)
+    at.update((c, j) for j, c in enumerate(sorted(dense - at.keys()), 2))
+    head: List[List[int]] = [[] for _ in range(len(dense) - len(seed) + 2)]
+    to: List[int] = []
+    cap: List[int] = []
+
+    def arc(u, v, c, back=0):
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to.extend((v, u))
+        cap.extend((c, back))
+
+    low = 0                             # the constant, plus the flow so far
+    for c in dense:
+        j, b = at[c], 2 * alpha * len(nodes[c])
+        for d, w in nbrs[c].items():
+            if d in dense:
+                b -= w
+                if c < d and at[d] != j:    # an arc into 0 is never cut
+                    arc(j, at[d], w, w)
+        if j == 0 or b < 0:
+            low += b
+        if j and b > 0:
+            arc(j, 1, b)
+        elif j and b < 0:
+            arc(0, j, -b)
+    while low <= 0:
+        level = [-1] * len(head)
+        level[0] = 0
+        queue = [0]
+        for u in queue:
+            for e in head[u]:
+                if cap[e] and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[1] < 0:
+            break
+        ptr, path, u = [0] * len(head), [], 0
+        while True:
+            if u == 1:                  # augment, then start again from 0
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                low += push
+                path, u = [], 0
+            arcs, i = head[u], ptr[u]
+            while i < len(arcs) and not (cap[arcs[i]] and
+                                         level[to[arcs[i]]] == level[u] + 1):
+                i += 1
+            ptr[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif path:                  # a dead end: retreat past its arc
+                u = to[path.pop() ^ 1]
+                ptr[u] += 1
+            else:
+                break
+    if low > 0:
+        return ()
+    return tuple(sorted(c for c in dense if level[at[c]] >= 0))
+
+
 # ---------------------------------------------------------------------------
 # The online algorithm proper.
 
@@ -549,14 +650,6 @@ class ComponentRepartitioner:
     def spare(self) -> List[int]:
         occ, res = self.occupancy(), self.reserved_space()
         return [self.capacity - occ[s] - res[s] for s in range(self.clusters)]
-
-    def _subgraph(self, comps: Set[int]
-                  ) -> Tuple[Dict[int, int], Dict[PairKey, int]]:
-        """The sizes of `comps` and the weights among them."""
-        return ({c: len(self.comp_nodes[c]) for c in comps},
-                {(a, b): w for a in comps
-                 for b, w in self.nbrs.get(a, {}).items()
-                 if a < b and b in comps})
 
     def _detach(self, members: Sequence[int], cid: Optional[int] = None
                 ) -> int:
@@ -643,18 +736,17 @@ class ComponentRepartitioner:
             self.nbrs, nodes, key, self.k, alpha, take, heaviest)
         if merge_set:                   # lemma 5: no epoch set is left
             return self._merge(merge_set), []
-        # lemma 2: an epoch set's seeds are hot, the minimum one lies in the
-        # dense core of S and the hot components, and is S if only S is left
+        # lemma 2: an epoch set's seeds are hot, and the least one lies in
+        # the dense core of S and the hot components; lemma 6: one cut there
+        # finds it
         if cu in hot and cv in hot:
             dense = _peel(hot, self.nbrs, key,
                           lambda c: alpha * len(nodes[c]) + 1)
-            if len(dense) > 2 or w >= (self.k - room) * alpha:
-                epoch_set = find_epoch_set(*self._subgraph(dense), self.k,
-                                           alpha, seed=key)
-                if epoch_set:
-                    # the serve that closes an epoch is charged to the epoch
-                    # it closed, so the new epoch's counters stay at zero
-                    return self._end_epoch(epoch_set), []
+            epoch_set = _epoch_cut(self.nbrs, nodes, dense, key, alpha)
+            if epoch_set:
+                # the serve that closes an epoch is charged to the epoch it
+                # closed, so the new epoch's counters stay at zero
+                return self._end_epoch(epoch_set), []
         if self.comp_cluster[cu] != self.comp_cluster[cv]:
             self.pair_remote[key] = self.pair_remote.get(key, 0) + 1
         return [], []
@@ -804,6 +896,34 @@ class ComponentRepartitioner:
                                          alpha, core, heaviest)[0]
             if found:
                 return found
+        return ()
+
+    def residual_epoch_set(self) -> Tuple[int, ...]:
+        """A nonempty component set with com >= alpha*vol, or () when none
+        exists, as after every completed step.
+
+        Such a set is an epoch set, or at vol <= k a merge set. One Y of
+        least cardinality has |Y| >= 2, and each c in Y has w(c, Y-c) >
+        alpha*size(c), as the nonempty Y-c has com < alpha*vol; so Y lies in
+        the hot core. The cut seeded with Y's smallest id, over the core
+        without the smaller ids, reaches a minimum of at most 0 there, and
+        any set it returns then qualifies, whether or not that minimum is
+        below 0, so the check assumes no premise of lemma 6.
+        """
+        # from the weights, not from self.nbrs: the check trusts no derived state
+        nodes, alpha = self.comp_nodes, self.alpha
+        nbrs: Dict[int, Dict[int, int]] = {}
+        for (a, b), w in self.weights.items():
+            if w > 0 and a < b and a in nodes and b in nodes:
+                nbrs.setdefault(a, {})[b] = w
+                nbrs.setdefault(b, {})[a] = w
+        # the peel leaves only hot components
+        core = _peel(nbrs, nbrs, (), lambda c: alpha * len(nodes[c]) + 1)
+        for root in sorted(core):
+            found = _epoch_cut(nbrs, nodes, core, (root,), alpha)
+            if found:
+                return found
+            core.discard(root)
         return ()
 
     def check_invariants(self, config: Optional[Configuration] = None) -> List[str]:

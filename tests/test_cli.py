@@ -379,6 +379,32 @@ def test_verify_reports_a_surviving_merge_set():
         "FAIL components\nstep 1\nqualifying merge set survived the step\n")
 
 
+@pytest.mark.parametrize("w", [2, 3])
+def test_verify_reports_a_surviving_epoch_set(w):
+    # Three components of two nodes each at k = 2, alpha = 1, with pair
+    # weights w: com = 3w reaches alpha*vol = 6 (at w = 3 it passes it, so
+    # the cut's minimum is below 0), while each pair stays below its bound
+    # vol*alpha = 4 and no two of them fit a merge set, so only the
+    # residual epoch check finds them.
+    planted = []
+
+    def tamper(t, alg):
+        pairs = sorted(c for c, nodes in alg.comp_nodes.items()
+                       if len(nodes) == 2)
+        if not planted and len(pairs) >= 3:
+            planted.append(t)
+            a, b, c = pairs[:3]
+            for key in ((a, b), (a, c), (b, c)):
+                alg.weights[key] = w
+
+    spec = _spec(alg="components", source="random", n=16, k=2, l=8,
+                 alpha=1, delta=4, steps=400, seed=1)
+    code, text = cli.cmd_verify(spec, tamper=tamper)
+    assert code == 1 and planted
+    assert text.startswith("FAIL components\nstep %d\nepoch set survived "
+                           "the step\n" % planted[0])
+
+
 def test_config_file_errors(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for text, err in (

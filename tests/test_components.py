@@ -8,7 +8,7 @@ lockstep with the reference that searches all of them.
 
 import itertools
 import random
-from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -199,14 +199,54 @@ def test_residual_check_agrees_with_naive_enumeration():
     assert found > 100 and in_core > 10
 
 
-def _residual(k, alpha, sizes, weights):
-    """The residual check of a state with these component sizes and weights;
-    the check reads only the node lists' lengths."""
+def _state(k, alpha, sizes, weights):
+    """An algorithm whose state has these component sizes and weights, as
+    the residual checks read it: only the node lists' lengths count."""
     p = Params(2 * k, k, 2, alpha=alpha, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
     alg.comp_nodes = {c: [c] * size for c, size in sizes.items()}
     alg.weights = dict(weights)
-    return alg.residual_merge_set()
+    return alg
+
+
+def _residual(k, alpha, sizes, weights):
+    """The residual check of a state with these component sizes and weights."""
+    return _state(k, alpha, sizes, weights).residual_merge_set()
+
+
+def _assert_dense_set(alg, found):
+    """`found` is a nonempty set of distinct live components of the
+    algorithm's state with com >= alpha*vol."""
+    assert found and len(set(found)) == len(found), found
+    vol = sum(len(alg.comp_nodes[c]) for c in found)
+    assert internal_weight(found, alg.weights) >= alg.alpha * vol, found
+
+
+def test_residual_epoch_check_agrees_with_naive_enumeration():
+    # The epoch check on arbitrary graphs, not only on reachable states, so
+    # also where sets with com above alpha*vol exist (the cut's minimum is
+    # then below 0): the answer must be empty exactly when no nonempty set
+    # has com >= alpha*vol, which naive_epoch_set at k = 0 enumerates, and
+    # such a set otherwise.
+    rng = random.Random(600)
+    found = above = 0
+    for i in range(900):
+        k = rng.randint(2, 5)
+        alpha = rng.randint(1, 3)
+        if i % 2:
+            sizes, weights = random_component_graph(rng, k)
+        else:
+            sizes, weights = dense_component_graph(rng, k, alpha)
+        alg = _state(k, alpha, sizes, weights)
+        expected = naive_epoch_set(sizes, weights, 0, alpha)
+        got = alg.residual_epoch_set()
+        assert bool(got) == bool(expected), (k, alpha, sizes, weights)
+        if got:
+            _assert_dense_set(alg, got)
+            vol = sum(sizes[c] for c in got)
+            above += internal_weight(got, weights) > alpha * vol
+        found += bool(expected)
+    assert found > 100 and above > 10
 
 
 # No pair reaches alpha = 3. The only merge set, (2, 3, 4), has vol = k = 3
@@ -431,6 +471,13 @@ def test_merge_walk_density_cut_counts_candidates_beyond_the_set():
     assert _walk(sizes, weights, 4, 3, (1, 2), bound=True)[0] == (1, 2, 3, 4)
 
 
+def _subgraph(nbrs, nodes, comps):
+    """The sizes of `comps` and the weights among them."""
+    return ({c: len(nodes[c]) for c in comps},
+            {(a, b): w for a in comps for b, w in nbrs.get(a, {}).items()
+             if a < b and b in comps})
+
+
 def test_merge_walk_matches_the_ball_search(monkeypatch):
     # On every step of seeded runs at k = 4 and k = 8, the walk returns what
     # find_merge_set returns on lemma 1's ball: the components within room
@@ -447,10 +494,8 @@ def test_merge_walk_matches_the_ball_search(monkeypatch):
             ball = _within(nbrs, seed, room, lambda c: (
                 len(nodes[c]) <= room and sum(nbrs[c].values()) >= alpha))
             ball = _peel(ball, nbrs, seed, lambda c: alpha, lambda c: room + 1)
-        state = SimpleNamespace(comp_nodes=nodes, nbrs=nbrs)
-        assert got[0] == find_merge_set(
-            *ComponentRepartitioner._subgraph(state, ball), k, alpha,
-            seed=seed)
+        assert got[0] == find_merge_set(*_subgraph(nbrs, nodes, ball), k,
+                                        alpha, seed=seed)
         seen.append((room, len(got[0])))
         return got
 
@@ -826,6 +871,7 @@ def _lockstep(params, src, steps):
         config, _ = apply_moves(config, moves[0] + moves[1], params.alpha)
         _same_state(alg, ref)
         assert alg.residual_merge_set() == ref.residual_merge_set() == ()
+        assert alg.residual_epoch_set() == ()
     return alg, ref
 
 
@@ -847,6 +893,12 @@ def test_narrowed_searches_match_the_full_reference(case, data):
     assert bool(got) == bool(ref.residual_merge_set())
     if got:
         _assert_merge_set(alg, got)
+    # a set with com >= alpha*vol is an epoch set at k = 0
+    got = alg.residual_epoch_set()
+    assert bool(got) == bool(find_epoch_set(component_sizes(alg),
+                                            alg.weights, 0, params.alpha))
+    if got:
+        _assert_dense_set(alg, got)
 
 
 @settings(max_examples=100, deadline=None)
@@ -855,6 +907,30 @@ def test_density_cut_walk_matches_the_full_reference(case):
     # from k = 6 up the room after a split request between singletons is
     # 3 or more, where the step's walk keeps to the ball and cuts by density
     _lockstep(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_streams(ks=(2, 8), most=300))
+def test_epoch_cut_matches_the_seeded_searches(case):
+    # Lemma 6: on every step that reaches the epoch side, the cut returns
+    # what the seeded find_epoch_set returns on the same peeled core and,
+    # on cores of at most ten components, what naive_epoch_set enumerates.
+    params, src, steps = case
+    cut = components._epoch_cut
+
+    def checked(nbrs, nodes, dense, seed, alpha):
+        got = cut(nbrs, nodes, dense, seed, alpha)
+        sizes, weights = _subgraph(nbrs, nodes, dense)
+        assert got == find_epoch_set(sizes, weights, params.k, alpha,
+                                     seed=seed)
+        if len(dense) <= 10:
+            assert got == naive_epoch_set(sizes, weights, params.k, alpha,
+                                          seed=seed)
+        return got
+
+    alg = ComponentRepartitioner(params, contiguous_configuration(params))
+    with mock.patch.object(components, "_epoch_cut", checked):
+        run(alg, src, params, alg.start, steps)
 
 
 @st.composite
@@ -960,11 +1036,12 @@ def test_one_pass_invariant_check_matches_the_reference(case):
 
 def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     # A guard without timings: on one seeded grid-shaped run under the
-    # per-step checks, dropping a seed-only decision, a fan-in bound, the
+    # per-step checks, dropping the cold-seed skip, a fan-in bound, the
     # walk's cuts or the core walk's root order raises one of these counts
-    # above what the shortcuts reach. The step walks its merge sets and the
-    # residual check walks its core; neither calls find_merge_set.
-    counts = {"find_merge_set": 0, "find_epoch_set": 0, "_subgraph": 0,
+    # above what the shortcuts reach. The step walks its merge sets and
+    # decides its epoch ends by one cut, and the residual check walks its
+    # core; none of them calls find_merge_set or find_epoch_set.
+    counts = {"find_merge_set": 0, "find_epoch_set": 0, "_epoch_cut": 0,
               "walk visits": 0, "core walk visits": 0}
 
     def visits_of(walk):
@@ -986,8 +1063,8 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
                         counted("find_merge_set", find_merge_set))
     monkeypatch.setattr(components, "find_epoch_set",
                         counted("find_epoch_set", find_epoch_set))
-    monkeypatch.setattr(ComponentRepartitioner, "_subgraph", counted(
-        "_subgraph", ComponentRepartitioner._subgraph))
+    monkeypatch.setattr(components, "_epoch_cut",
+                        counted("_epoch_cut", components._epoch_cut))
     monkeypatch.setattr(components, "_connected_merge_set", visits_of(
         components._connected_merge_set))
     p = Params(16, 4, 4, alpha=3, delta=4)
@@ -1005,8 +1082,8 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     assert moved > 50                    # merges and epoch ends happened
     assert counts["find_merge_set"] == 0
     assert counts["walk visits"] <= 15058
-    assert counts["find_epoch_set"] <= 347
-    assert counts["_subgraph"] <= 347
+    assert counts["find_epoch_set"] == 0
+    assert counts["_epoch_cut"] <= 560
     assert counts["core walk visits"] <= 2918
 
 
@@ -1015,7 +1092,7 @@ def test_a_step_that_merges_ends_there(monkeypatch):
     # it. On these grid-shaped inputs (seeds 0-149, planted and random), a
     # step that went on to the epoch side after its merge made 388 peels
     # and 200 searches, and every search came back empty.
-    late = {"_peel": 0, "find_epoch_set": 0}
+    late = {"_peel": 0, "_epoch_cut": 0}
     merged = []                          # nonempty once the step merged
     step, merge = ComponentRepartitioner.step, ComponentRepartitioner._merge
 
@@ -1036,8 +1113,8 @@ def test_a_step_that_merges_ends_there(monkeypatch):
     monkeypatch.setattr(ComponentRepartitioner, "step", stepping)
     monkeypatch.setattr(ComponentRepartitioner, "_merge", merging)
     monkeypatch.setattr(components, "_peel", counted("_peel", _peel))
-    monkeypatch.setattr(components, "find_epoch_set",
-                        counted("find_epoch_set", find_epoch_set))
+    monkeypatch.setattr(components, "_epoch_cut",
+                        counted("_epoch_cut", components._epoch_cut))
     p = Params(16, 4, 4, alpha=3, delta=4)
     merges = 0
     for seed in range(150):
@@ -1047,7 +1124,7 @@ def test_a_step_that_merges_ends_there(monkeypatch):
             run(alg, src, p, alg.start, 100)
             merges += alg.next_cid - p.n
     assert merges == 1561
-    assert late == {"_peel": 0, "find_epoch_set": 0}
+    assert late == {"_peel": 0, "_epoch_cut": 0}
 
 
 def test_residual_check_on_corrupted_states_runs_no_full_search(monkeypatch):
