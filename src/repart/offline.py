@@ -21,14 +21,15 @@ overlap matrix up to the order of its columns, not once per pair of states.
 No m x m matrix is built: only row 0 goes through that memo, and the
 neighbour masks of every state come from it. A permutation g of the nodes
 maps each state to a state and keeps every overlap matrix, so
-T[g(w)][g(t)] = T[w][t]. The adjacent transpositions (a a+1) generate the
-symmetric group S_n, which acts transitively on the balanced partitions,
-so a breadth-first walk from state 0 along them reaches every state; and
-as each transposition g is its own inverse, the costs out of g(w) are
-those out of w read in the order of g: T[g(w)][t] = T[w][g(t)]. The walk
-keeps each reached state's costs over alpha as one byte string, gathers
-the string of g(w) from that of w, and reads the masks of each cost out of
-it before dropping it.
+T[g(w)][t] = T[w][g^-1(t)]. The transposition (0 1) and the n-cycle
+v -> v+1 mod n generate S_n, which acts transitively on the balanced
+partitions, so a breadth-first walk from state 0 along the two reaches
+every state. The walk keeps each reached state's costs over alpha as one
+byte string, gathers the string of g(w) from that of w through the inverse
+of g's map on the states (the cycle is not its own inverse), and reads the
+masks of each cost but the highest out of it before dropping it. Each
+state t != w sits at exactly one nonzero cost from w, so the highest
+cost's mask is all states less w and the other masks.
 
 `WorkFunction` maintains the work function of a metrical task system
 (Borodin, Linial & Saks 1992; Chrobak & Larmore 1992). Its value vector x
@@ -76,8 +77,8 @@ from .core import (
 
 # No m x m matrix is kept: the neighbour masks take one m-bit mask per state
 # and distinct cost. On a 2-core Xeon, m=1716 (n=14, k=7) builds its masks
-# cold in 0.12-0.13 s with a 3.4 MB traced peak, 1.4 MB kept; the next space,
-# m=5775 (n=12, k=4), would take 1.7 s and 33 MB. The cap stays where the
+# cold in 0.08-0.10 s with a 2.5 MB traced peak, 1.3 MB kept; the next space,
+# m=5775 (n=12, k=4), would take 1.1-1.6 s and 31 MB. The cap stays where the
 # full matrix once put it, so the same commands fail with TooLarge.
 PARTITION_CAP = 2000
 
@@ -227,31 +228,34 @@ class PartitionSpace:
         overlap memo, every other state's costs a permuted copy of a state's
         already built; see the module docstring. `near()` keeps the result;
         perfbench's traced run times this build as `offline.transitions`."""
-        m, alpha = len(self), self.params.alpha
-        columns = list(zip(*self._columns))     # state -> its block ids
-        state = {frozenset(ids): s for s, ids in enumerate(columns)}
-        mask_id = {b: i for i, b in enumerate(self._masks)}
-        swaps = []  # (g, gather): g[t] is state t with nodes a, a+1 swapped
-        for a in range(self.params.n - 1):
-            pair = 3 << a   # block i with nodes a, a+1 swapped is moved[i]
-            moved = [i if (b & pair) in (0, pair) else mask_id[b ^ pair]
-                     for i, b in enumerate(self._masks)]
-            g = [state[frozenset(map(moved.__getitem__, ids))]
-                 for ids in columns]
-            # byte p of a code is state m-1-p; at m = 1 the getter returns a
-            # scalar, but then copies no code
-            swaps.append((g, itemgetter(*[m - 1 - g[m - 1 - p]
-                                          for p in range(m)])))
+        m, alpha, n = len(self), self.params.alpha, self.params.n
         row = self.row(0)
         # every state's costs are a permutation of row 0's, so row 0 holds
         # every distinct cost; each is alpha times a migration count below
         # n, so a byte holds the count
         costs = sorted(set(row) - {0})
         near = {d: [0] * m for d in costs}
+        if not costs:               # one state
+            return near
+        columns = list(zip(*self._columns))     # state -> its block ids
+        state = {frozenset(ids): s for s, ids in enumerate(columns)}
+        mask_id = {b: i for i, b in enumerate(self._masks)}
+        full = (1 << n) - 1
+        relabelings = []    # (g, gather): g[t] is state t relabeled by g
+        for move in (lambda b: b ^ 3 if (b & 3) in (1, 2) else b,   # (0 1)
+                     lambda b: (b << 1 | b >> (n - 1)) & full):     # v -> v+1
+            moved = [mask_id[move(b)] for b in self._masks]
+            g = [state[frozenset(map(moved.__getitem__, ids))]
+                 for ids in columns]
+            inverse = sorted(range(m), key=g.__getitem__)
+            # byte p of a code is state m-1-p: byte m-1-g^-1(m-1-p) of w's
+            relabelings.append((g, itemgetter(*[m - 1 - t
+                                                for t in reversed(inverse)])))
         digits = []     # (masks of d, byte -> b"1" if it counts d else b"0")
-        for d in costs:
+        for d in costs[:-1]:    # the top cost's masks are the rest
             j = d // alpha
             digits.append((near[d], b"0" * j + b"1" + b"0" * (255 - j)))
+        top, everyone = near[costs[-1]], (1 << m) - 1
         # codes[w] holds w's costs over alpha, reversed so that state s is
         # bit s; it is dropped to b"" once w's masks and images are taken
         codes: List[Optional[bytes]] = [None] * m
@@ -260,12 +264,15 @@ class PartitionSpace:
         for w in reached:
             code = codes[w]
             codes[w] = b""
+            rest = everyone ^ 1 << w
             for masks, table in digits:
-                masks[w] = int(code.translate(table), 2)
-            for g, gather in swaps:
+                masks[w] = mask = int(code.translate(table), 2)
+                rest ^= mask
+            top[w] = rest
+            for g, gather in relabelings:
                 c = g[w]
                 if codes[c] is None:
-                    # T[g(w)][t] = T[w][g(t)], as g is its own inverse
+                    # T[g(w)][t] = T[w][g^-1(t)]
                     codes[c] = bytes(gather(code))
                     reached.append(c)
         return near

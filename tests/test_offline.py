@@ -421,6 +421,52 @@ def test_cold_matrix_solves_row_0_only(monkeypatch):
         assert len(solves) == len(space._cost_by_overlap) == want, shape
 
 
+@pytest.mark.parametrize("alpha", (1, 2, 3))
+def test_one_state_spaces_have_no_neighbour_masks(alpha):
+    # n = 1 has no node 1 for the transposition (0 1), and at n = 2 the
+    # transposition and the 2-cycle are the same relabeling; every space
+    # at n <= 2 holds one state, at no nonzero cost from itself
+    for n, k, ell in ((1, 1, 1), (2, 1, 2), (2, 2, 1)):
+        space = PartitionSpace(Params(n, k, ell, alpha=alpha))
+        assert transition_matrix(space) == [[0]], (n, k, ell)
+        assert space.near() == {}, (n, k, ell)
+
+
+# every shape under the state cap from n = 3 up (for n above 16 each space
+# holds one state or is above the cap)
+SHAPES_FROM_3 = [(n, k, n // k) for n in range(3, 17) for k in range(1, n + 1)
+                 if n % k == 0 and partition_count(n, k, n // k) <= PARTITION_CAP]
+
+
+def test_cold_masks_take_two_relabelings(monkeypatch):
+    # A guard without timings: a cold `near` builds one relabeling of the
+    # states for (0 1) and one for v -> v+1 mod n, and gathers the costs of
+    # every state but state 0 once, where the swaps of adjacent nodes
+    # (a a+1) built n - 1. A one-state space builds and gathers none.
+    built, gathered = [], []
+    getter = operator.itemgetter
+
+    def counted_getter(*items):
+        get = getter(*items)
+        built.append(len(items))
+
+        def gather(code):
+            gathered.append(len(code))
+            return get(code)
+        return gather
+
+    monkeypatch.setattr(offline, "itemgetter", counted_getter)
+    assert (14, 7, 2) in SHAPES_FROM_3 and (10, 2, 5) in SHAPES_FROM_3
+    for n, k, ell in SHAPES_FROM_3:
+        built.clear()
+        gathered.clear()
+        space = PartitionSpace(Params(n, k, ell, alpha=2))
+        space.near()
+        m = len(space)
+        assert built == ([m, m] if m > 1 else []), (n, k, ell)
+        assert gathered == [m] * (m - 1), (n, k, ell)
+
+
 def test_cold_optimal_cost_keeps_no_matrix(monkeypatch):
     # A guard without timings: a cold solve takes row 0 alone through
     # `row`, and its space holds nothing with m rows of m costs
