@@ -121,9 +121,14 @@ of S's list or a neighbour of c, so O(|N(S)| * max deg) sets, as |N(S)| <=
 of S, peeled to a fan-in of room+1. By lemma 4, the residual check seeds
 the walk with each core component in turn and takes the core components
 of larger id, so each connected set of vol <= k is visited once, from its
-smallest id. There, and in the step from room 3 up, a branch of two or
-more members is cut by find_merge_set's density bound over the candidates
-it can still take.
+smallest id. Of the merge sets it meets, the walk keeps the largest |X|,
+then the largest com(X), then the smallest sorted ids. There, and in the
+step from room 3 up, a branch X of two or more members is cut by a density
+bound. Adding candidates T, at most `left` = k - vol(X) of them, lifts
+2*(com - (|X|-1)*alpha) by the sum over c in T of 2*(w(c, X) - alpha) +
+w(c, T - c), where w(c, T - c) is at most the sum of c's left-1 heaviest
+weights; the branch goes when even the `left` largest positive lifts leave
+the sum below 0.
 """
 
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
@@ -334,9 +339,10 @@ def _peel(cands: Iterable[int], nbrs: Dict[int, Dict[int, int]],
     What remains holds every set of candidates with the seed in which each
     other member c has w(c, set - c) >= need(c) and, given `fan`, at most
     fan(c) mates. Both tests only get stricter as candidates go, so the
-    order of drops does not change what remains. The fan test of c reads
-    only which of c's neighbours remain, so after one pass over every
-    candidate it runs again only on the neighbours of those dropped."""
+    order of drops does not change what remains. One worklist runs both:
+    it starts with every candidate given `fan`, else with those below need,
+    and a drop queues each live neighbour again given `fan`, else those it
+    takes below need."""
     alive = set(seed)
     needs: Dict[int, int] = {}
     for c in cands:
@@ -344,51 +350,38 @@ def _peel(cands: Iterable[int], nbrs: Dict[int, Dict[int, int]],
             needs[c] = need(c)
     alive.update(needs)
     into: Dict[int, int] = {}
-    doomed: List[int] = []
+    queue: List[int] = []
     for c, b in needs.items():
         total = 0
         for d, w in nbrs[c].items():
             if d in alive:
                 total += w
         into[c] = total
-        if total < b:
-            doomed.append(c)
-    test: Optional[Iterable[int]] = needs
-    while True:
-        dropped = []
-        while doomed:
-            c = doomed.pop()
-            if c not in alive:
-                continue
-            alive.remove(c)
-            dropped.append(c)
-            for d, w in nbrs[c].items():
-                if d in needs and d in alive:
-                    into[d] -= w
-                    if into[d] < needs[d]:
-                        doomed.append(d)
-        if fan is None:
-            return alive
-        if test is None:
-            test = {d for c in dropped for d in nbrs[c]}
-        for c in test:
-            if c not in alive or c not in needs:
-                continue
+        if fan is not None or total < b:
+            queue.append(c)
+    while queue:
+        c = queue.pop()
+        if c not in alive:
+            continue
+        # without fan a queued candidate stays below need, as into only falls
+        if fan is not None and into[c] >= needs[c]:
             row, top = nbrs[c], fan(c)
             if len(row) <= top:
                 continue
-            heavy = []
-            for d, w in row.items():
-                if d in alive:
-                    heavy.append(w)
+            heavy = [w for d, w in row.items() if d in alive]
             # with at most fan(c) weights left they are into[c], which passed
-            if len(heavy) > top:
-                heavy.sort(reverse=True)
-                if sum(heavy[:top]) < needs[c]:
-                    doomed.append(c)
-        if not doomed:
-            return alive
-        test = None
+            if len(heavy) <= top:
+                continue
+            heavy.sort(reverse=True)
+            if sum(heavy[:top]) >= needs[c]:
+                continue
+        alive.remove(c)
+        for d, w in nbrs[c].items():
+            if d in needs and d in alive:
+                into[d] -= w
+                if fan is not None or into[d] < needs[d]:
+                    queue.append(d)
+    return alive
 
 
 def _within(nbrs: Dict[int, Dict[int, int]], seed: Sequence[int], hops: int,
@@ -408,8 +401,9 @@ def _within(nbrs: Dict[int, Dict[int, int]], seed: Sequence[int], hops: int,
 
 def _offer(best: Tuple[int, int, Tuple[int, ...]], card: int, com: int,
            members: Tuple[int, ...]) -> Tuple[int, int, Tuple[int, ...]]:
-    """Of `best` and the set `members`, as (card, com, sorted ids), the one
-    find_merge_set prefers."""
+    """Of `best` and the set `members`, as (card, com, sorted ids), the
+    preferred merge set: the larger card, then the larger com, then the
+    smaller sorted ids."""
     if (card, com) < best[:2]:
         return best
     ids = tuple(sorted(members))
@@ -423,18 +417,20 @@ def _connected_merge_set(nbrs: Dict[int, Dict[int, int]],
                          k: int, alpha: int, take: Set[int],
                          heaviest: Optional[Dict[int, List[int]]] = None
                          ) -> Tuple[Tuple[int, ...], int]:
-    """find_merge_set's answer among the sets that hold `seed`, one
-    component or a sorted pair, and whose members all reach it along
-    members, and how many sets it visited. The other members are taken from
-    `take`, which the walk does not change.
+    """The preferred merge set (largest |X|, then largest com(X), then
+    smallest sorted ids) among the sets that hold `seed`, one component or
+    a sorted pair, and whose members all reach it along members, and how
+    many sets it visited. The other members are taken from `take`, which
+    the walk does not change.
 
     The walk is ESU rooted at the seed (see the module docstring); each
     extension list entry carries its size and its weight into the set, so
     com follows by addition. `heaviest` maps each candidate to the prefix
     sums of its heaviest weights to the others; given it, a branch of two
-    or more members is cut by find_merge_set's density bound over what the
-    branch can still take: its extension list and the candidates not yet
-    next to the set.
+    or more members is cut by the module docstring's density bound over
+    what the branch can still take: its extension list, whose lifts count
+    their weight into the set, and the candidates not yet next to the set,
+    whose lifts count none.
     """
     a, b = seed[0], seed[-1]            # b is a when the seed is one component
     ra, rb = nbrs.get(a, {}), (nbrs.get(b, {}) if b != a else {})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 
 class RepartError(Exception):
@@ -86,29 +86,17 @@ class Request(_RequestFields):
 
 
 class Configuration:
-    """Immutable node -> cluster assignment with fixed capacities.
+    """A node -> cluster assignment with fixed capacities, moved in place.
 
-    A configuration and every configuration `apply_moves` derives from it
-    are versions of one persistent array (Baker 1978; Conchon & Filliatre
-    2007). They share a single mutable store: the assignment list and the
-    sorted member list of each cluster, both filled by the validating
-    construction and kept current by every move. The version that holds
-    the store reads in O(1), and `nodes_in` in O(k); every other version
-    holds only the undo moves that lead from a neighbour version (`_next`)
-    to itself. Reading an old version first walks the store back to it,
-    applying and reversing the undo moves on the way (`_reroot`), so
-    deriving a child costs O(moves * k) and copies nothing of size n or
-    ell, and a run that reads only its newest version never walks at
-    all. The moves of a whole chain stay reachable from its oldest
-    version.
-
-    Every version stays observably immutable, but reading any version
-    mutates the shared store: versions of one chain must not be read from
-    more than one thread at a time.
+    It holds the assignment list and the sorted member list of each
+    cluster, both filled by the validating construction and kept current
+    by `apply_moves`, so `cluster_of` reads in O(1) and `nodes_in` in
+    O(k), and a batch of moves costs O(moves * k) at any n. It is mutable
+    and so does not hash.
     """
 
     __slots__ = ("n", "cluster_count", "cluster_capacity", "_assign",
-                 "_members", "_undo", "_next")
+                 "_members")
 
     def __init__(self, assignment: Sequence[int], cluster_count: int,
                  cluster_capacity: int):
@@ -126,71 +114,22 @@ class Configuration:
                 raise CapacityExceeded("cluster %d over capacity %d"
                                        % (c, cluster_capacity))
         self._members = members
-        self._undo: Tuple[Tuple[int, int], ...] = ()
-        self._next: Optional[Configuration] = None  # None: holds the store
-
-    def _child(self) -> "Configuration":
-        """A new version on this one's store, holding it; the caller moves
-        the store to the child's placement and leaves undo moves here."""
-        out = Configuration.__new__(Configuration)
-        out.n, out.cluster_count = self.n, self.cluster_count
-        out.cluster_capacity = self.cluster_capacity
-        out._assign, out._members = self._assign, self._members
-        out._undo, out._next = (), None
-        return out
-
-    def _shift(self, moves: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
-        """Move each (node, cluster) in the store, every node distinct and
-        every move a real change; return the moves that undo them."""
-        assign, members = self._assign, self._members
-        undo = tuple((v, assign[v]) for v, _ in moves)
-        for (v, c), (_, a) in zip(moves, undo):
-            assign[v] = c
-            members[a].remove(v)
-            bisect.insort(members[c], v)
-        return undo
-
-    def _reroot(self):
-        """Walk the store back to this version, iteratively: a replay
-        reroots through a whole run."""
-        path = []
-        ver = self
-        while ver._next is not None:
-            path.append(ver)
-            ver = ver._next
-        for ver in reversed(path):
-            holder = ver._next
-            holder._undo, holder._next = self._shift(ver._undo), ver
-            ver._undo, ver._next = (), None
 
     @property
     def assignment(self) -> Tuple[int, ...]:
         """A snapshot of the whole placement; O(n), so not for step paths."""
-        if self._next is not None:
-            self._reroot()
         return tuple(self._assign)
 
     def cluster_of(self, v: int) -> int:
-        if self._next is not None:
-            self._reroot()
         if not 0 <= v < self.n:
             raise UnknownNode("node %d outside [0, %d)" % (v, self.n))
         return self._assign[v]
 
     def nodes_in(self, c: int) -> List[int]:
         """Members of cluster c in increasing id order."""
-        if self._next is not None:
-            self._reroot()
         if not 0 <= c < self.cluster_count:
             raise UnknownCluster("cluster %d outside [0, %d)" % (c, self.cluster_count))
         return self._members[c][:]
-
-    def occupancy(self, c: int) -> int:
-        if self._next is not None:
-            self._reroot()
-        if not 0 <= c < self.cluster_count:
-            raise UnknownCluster("cluster %d outside [0, %d)" % (c, self.cluster_count))
-        return len(self._members[c])
 
     def canonical(self) -> str:
         # one C-level format pass, with no string object per node
@@ -202,9 +141,6 @@ class Configuration:
                 and self.cluster_count == other.cluster_count
                 and self.cluster_capacity == other.cluster_capacity
                 and self.assignment == other.assignment)
-
-    def __hash__(self):
-        return hash((self.assignment, self.cluster_count, self.cluster_capacity))
 
     def __repr__(self):
         return "Configuration(%s)" % self.canonical()
@@ -229,15 +165,15 @@ def serve_cost(config: Configuration, request: Request) -> int:
 
 def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
                 alpha: int) -> Tuple[Configuration, int]:
-    """Apply a batch of (node, target cluster) moves atomically.
+    """Apply a batch of (node, target cluster) moves atomically, in place.
 
     Cost is alpha per node whose cluster actually changed; moves onto the
     current cluster are free, and when a node appears more than once its
     last move wins. Capacity is validated on the final placement only, so
     batches may pass through transient overfull states. Only the moved
     nodes and the clusters they enter are checked, since `config` is valid.
-    The child takes over `config`'s store in O(moves * k); a rejected batch
-    leaves the store as it found it.
+    The whole batch is checked before any node moves, so a rejected batch
+    leaves `config` as it was. Returns `config` itself and the cost.
     """
     if not moves:
         return config, 0
@@ -249,30 +185,28 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
         if not 0 <= c < ell:
             raise UnknownCluster("move to unknown cluster %d" % c)
         final[v] = c
-    if config._next is not None:
-        config._reroot()
-    old = config._assign
-    changed = [(v, c) for v, c in final.items() if old[v] != c]
+    assign, members = config._assign, config._members
+    changed = [(v, c) for v, c in final.items() if assign[v] != c]
     if not changed:
         return config, 0
     gain: Dict[int, int] = {}
     for v, c in changed:
         gain[c] = gain.get(c, 0) + 1
-        gain[old[v]] = gain.get(old[v], 0) - 1
-    members = config._members
+        gain[assign[v]] = gain.get(assign[v], 0) - 1
     for c in sorted(gain):
         if len(members[c]) + gain[c] > config.cluster_capacity:
             raise CapacityExceeded("cluster %d over capacity %d"
                                    % (c, config.cluster_capacity))
-    out = config._child()
-    config._undo, config._next = config._shift(changed), out
-    return out, alpha * len(changed)
+    for v, c in changed:
+        members[assign[v]].remove(v)
+        bisect.insort(members[c], v)
+        assign[v] = c
+    return config, alpha * len(changed)
 
 
 def _overlap_matrix(a: Configuration, b: Configuration) -> List[List[int]]:
     m = [[0] * b.cluster_count for _ in range(a.cluster_count)]
-    # one snapshot each: a and b may be versions of one store
-    for x, y in zip(a.assignment, b.assignment):
+    for x, y in zip(a._assign, b._assign):
         m[x][y] += 1
     return m
 

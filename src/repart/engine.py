@@ -8,13 +8,11 @@ is charged, post-serve moves after. Component-based repartitioning uses
 the pre slot; the greedy rematcher swaps only after the triggering request
 has been paid, so it uses the post slot.
 
-A step costs O(moves * k) in the harness at any n: `apply_moves` hands
-the configuration's shared store to the child and leaves the parent only
-the moves that undo the step (see `core.Configuration`), and `run` calls
-it only on a non-empty batch. So the transcript's `initial` keeps the
-moves of the whole run reachable, and `Transcript.replay` first walks the
-store back to `initial`. Reading any configuration of a run mutates that
-store: a run and its configurations belong to one thread.
+A step costs O(moves * k) in the harness at any n: `apply_moves` moves
+the nodes of the one configuration a run is given, in place, and `run`
+calls it only on a non-empty batch. The transcript keeps the first
+assignment as a tuple, from which `Transcript.initial` builds a fresh
+placement for `replay`.
 """
 
 from __future__ import annotations
@@ -73,14 +71,23 @@ class StepRecord:
 
 @dataclass
 class Transcript:
-    """Everything needed to audit or replay a run. `snapshots` holds one
-    (steps served, final configuration) entry."""
+    """Everything needed to audit or replay a run: the assignment before
+    the first step, on its cluster count and capacity, and the steps.
+    `snapshots` holds one (steps served, final configuration) entry."""
 
     params: Params
-    initial: Configuration
+    first: Tuple[int, ...]
+    cluster_count: int
+    cluster_capacity: int
     steps: List[StepRecord] = field(default_factory=list)
     snapshots: List[Tuple[int, Configuration]] = field(default_factory=list)
     ledger: CostLedger = field(default_factory=CostLedger)
+
+    @property
+    def initial(self) -> Configuration:
+        """A fresh placement as it stood before the first step."""
+        return Configuration(self.first, self.cluster_count,
+                             self.cluster_capacity)
 
     def requests(self) -> List[Request]:
         return [Request(s.u, s.v, s.t) for s in self.steps]
@@ -113,14 +120,16 @@ Observer = Callable[[int, Configuration, Request, int, int], None]
 def run(alg: OnlineAlgorithm, src: RequestSource, params: Params,
         initial: Configuration, max_steps: int,
         observer: Optional[Observer] = None) -> Transcript:
-    """Drive alg against src for at most max_steps requests.
+    """Drive alg against src for at most max_steps requests, moving
+    `initial` in place; it ends as the transcript's final configuration.
 
     The observer, when given, is called after every completed step with
     (t, config, request, comm_t, mig_t); verification hooks live there.
     AdversaryStuck and algorithm errors propagate to the caller.
     """
     config = initial
-    transcript = Transcript(params=params, initial=initial)
+    transcript = Transcript(params, initial.assignment, initial.cluster_count,
+                            initial.cluster_capacity)
     # bound once per run; apply_moves and serve_cost stay module lookups
     source_next, alg_step, alpha = src.next, alg.step, params.alpha
     record, append = transcript.ledger.record, transcript.steps.append

@@ -518,7 +518,8 @@ def reference_run(alg, src, params, initial, max_steps, observer=None):
     """engine.run with every lookup made per step, and apply_moves called
     on every batch, empty ones included."""
     config = initial
-    transcript = Transcript(params=params, initial=initial)
+    transcript = Transcript(params, initial.assignment, initial.cluster_count,
+                            initial.cluster_capacity)
     for t in range(1, max_steps + 1):
         req = src.next(config)
         if req is None:

@@ -66,7 +66,7 @@ def test_criterion_1_greedy_within_seven_times_optimal():
         alg = GreedyMatcher(params, lam=3)
         initial = contiguous_configuration(params)
         tr = run(alg, source, params, initial, 40)
-        off, _ = optimal_cost(tr.requests(), params, initial,
+        off, _ = optimal_cost(tr.requests(), params, tr.initial,
                               spaces[(params.n, params.alpha)])
         assert tr.ledger.total <= 7 * off, (params, tr.ledger.total, off)
         if off > 0:
@@ -122,7 +122,7 @@ def test_criterion_3_threshold_baselines_trail_optimal():
     initial = adv.group_phases_initial(params)
     src = adv.GroupPhases(params)
     tr = run(NaiveCollocator(params), src, params, initial, 100)
-    off, _ = optimal_cost(tr.requests(), params, initial)
+    off, _ = optimal_cost(tr.requests(), params, tr.initial)
     assert (tr.ledger.total, off) == (9, 2)
     assert Fraction(9, 2) >= Fraction(7, 2)
 
@@ -131,7 +131,7 @@ def test_criterion_3_threshold_baselines_trail_optimal():
     initial = contiguous_configuration(params)
     src = adv.PairChase(params, phases=1)
     tr = run(GreedyMatcher(params, lam=3), src, params, initial, 100)
-    off, _ = optimal_cost(tr.requests(), params, initial)
+    off, _ = optimal_cost(tr.requests(), params, tr.initial)
     assert (tr.ledger.total, off) == (5, 2)
     assert Fraction(5, 2) >= 2
     _verdict(3, True, "9/2 >= 7/2 and 5/2 >= 2")

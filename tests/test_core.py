@@ -85,14 +85,14 @@ def test_configuration_queries():
     assert config.n == 4
     assert config.cluster_of(2) == 0
     assert config.nodes_in(1) == [1, 3]
-    assert config.occupancy(0) == 2
+    assert len(config.nodes_in(0)) == 2
     assert config.canonical() == "2/2:0,1,0,1"
     with pytest.raises(UnknownNode):
         config.cluster_of(4)
     with pytest.raises(UnknownCluster):
         config.nodes_in(2)
     with pytest.raises(UnknownCluster):
-        config.occupancy(-1)
+        config.nodes_in(-1)
 
 
 def test_configuration_validation():
@@ -128,12 +128,30 @@ def test_apply_moves_atomic_capacity():
     out, cost = apply_moves(config, [(1, 1), (2, 0)], 2)
     assert tuple(out.assignment) == (0, 1, 0, 1)
     assert cost == 4
+    # the swap moved config itself; a rejected batch moves nothing
+    config = new_configuration([0, 0, 1, 1], 2, 2)
     with pytest.raises(CapacityExceeded):
-        apply_moves(config, [(2, 0)], 1)
+        apply_moves(config, [(1, 1), (2, 0), (3, 0)], 1)
     with pytest.raises(UnknownNode):
-        apply_moves(config, [(9, 0)], 1)
+        apply_moves(config, [(1, 1), (9, 0)], 1)
     with pytest.raises(UnknownCluster):
-        apply_moves(config, [(0, 9)], 1)
+        apply_moves(config, [(1, 1), (0, 9)], 1)
+    assert config.assignment == (0, 0, 1, 1)
+    assert config.nodes_in(0) == [0, 1] and config.nodes_in(1) == [2, 3]
+
+
+def test_a_placement_moves_in_place_and_does_not_hash():
+    config = new_configuration([0, 0, 1, 1], 2, 2)
+    members = config.nodes_in(0)
+    out, cost = apply_moves(config, [(1, 1), (2, 0)], 1)
+    assert out is config and cost == 2
+    # a read hands out a copy, not the live member list
+    assert members == [0, 1] and config.nodes_in(0) == [0, 2]
+    config.nodes_in(1).append(0)
+    assert config.nodes_in(1) == [1, 3]
+    assert config == new_configuration([0, 1, 0, 1], 2, 2)
+    with pytest.raises(TypeError):
+        hash(config)
 
 
 def test_min_migration_shape_mismatch():

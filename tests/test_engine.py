@@ -1,5 +1,6 @@
 """Harness wiring: move slots, replay fidelity, ratio sentinels."""
 
+import gc
 import random
 
 import pytest
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 
 from oracles import reference_run
 from repart import cli
-from repart.adversaries import RandomPairs, RingAdversary
-from repart.core import Params, RepartError, Request, contiguous_configuration
+from repart.adversaries import PairChase, RandomPairs, RingAdversary
+from repart.core import (
+    Configuration,
+    Params,
+    RepartError,
+    Request,
+    contiguous_configuration,
+)
 from repart.engine import (
     INFINITE,
     UNDEFINED,
@@ -63,9 +70,10 @@ def test_pre_moves_apply_before_the_serve():
     alg = ScriptedAlgorithm({1: ([(2, 0), (1, 1)], [])})
     tr = run(alg, ScriptedSource([(0, 2)]), p, init, 5)
     assert (tr.ledger.comm_total, tr.ledger.mig_total) == (0, 4)
-    # the same swap in the post slot pays for the serve
+    # the same swap in the post slot pays for the serve; run moved init,
+    # so the second run starts from a fresh placement
     alg = ScriptedAlgorithm({1: ([], [(2, 0), (1, 1)])})
-    tr = run(alg, ScriptedSource([(0, 2)]), p, init, 5)
+    tr = run(alg, ScriptedSource([(0, 2)]), p, contiguous_configuration(p), 5)
     assert (tr.ledger.comm_total, tr.ledger.mig_total) == (1, 4)
 
 
@@ -91,6 +99,31 @@ def test_snapshot_cadence():
     src = RandomPairs(3, 8, 130)
     tr = run(NullAlgorithm(), src, p, contiguous_configuration(p), 130)
     assert tr.snapshots == [(130, contiguous_configuration(p))]
+
+
+def _live_configurations():
+    gc.collect()
+    return sum(isinstance(o, Configuration) for o in gc.get_objects())
+
+
+def test_a_run_moves_the_one_placement_it_is_given():
+    # a swap every few steps: the run makes no configuration, and the
+    # transcript holds only the first assignment and the moved placement
+    p = Params(64, 2, 32, alpha=2)
+    initial = contiguous_configuration(p)
+    before = initial.assignment
+    live = _live_configurations()
+    tr = run(NaiveCollocator(p), PairChase(p, 10 ** 9), p, initial, 3000)
+    assert _live_configurations() == live
+    assert len(tr.steps) == 3000 and tr.ledger.mig_total > 0
+    assert tr.snapshots[-1][1] is initial
+    assert initial.assignment != before
+    assert tr.initial == Configuration(before, p.ell, p.k)
+    assert tr.initial is not tr.initial
+    for _ in range(2):
+        replayed = tr.replay()
+        assert (replayed.comm_total, replayed.mig_total, replayed.per_step) == (
+            tr.ledger.comm_total, tr.ledger.mig_total, tr.ledger.per_step)
 
 
 def test_replay_matches_live_ledger():
@@ -162,7 +195,7 @@ def test_ratio_sentinels():
 
 def test_empty_transcript_replay():
     p = Params(4, 2, 2)
-    tr = Transcript(params=p, initial=contiguous_configuration(p))
+    tr = Transcript(p, (0, 0, 1, 1), p.ell, p.k)
     assert tr.replay().total == 0
     assert tr.step_lines() == []
 
