@@ -253,7 +253,7 @@ class PlantedPartition:
     """
 
     def __init__(self, seed: int, params: Params, p_in: float, p_out: float,
-                 steps: Optional[int] = None):
+                 steps: int):
         if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
             raise BadProbability("p_in and p_out must lie in [0, 1]")
         n, k, ell = params.n, params.k, params.ell
@@ -269,10 +269,9 @@ class PlantedPartition:
         self.left = steps
 
     def next(self, config: Configuration) -> Optional[Request]:
-        if self.left is not None:
-            if self.left <= 0:
-                return None
-            self.left -= 1
+        if self.left <= 0:
+            return None
+        self.left -= 1
         if self.rng.random() < self.p_intra:
             g = self.rng.randrange(self.n // self.k)
             u, v = self.rng.sample(range(g * self.k, (g + 1) * self.k), 2)

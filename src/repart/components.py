@@ -86,9 +86,7 @@ skipped, by five lemmas, and the epoch search made one min cut by a sixth:
    with S <= Y <= D is one s-t min cut with S contracted into s (Picard &
    Queyranne 1982, "Selected applications of minimum cuts in networks").
    An epoch set exists iff the minimum is 0, and the least minimiser is
-   what s reaches in the residual graph of a maximum flow. Without the
-   precondition the cut still returns a set with f >= 0 whenever one holds
-   S, as its minimum is then at most 0.
+   what s reaches in the residual graph of a maximum flow.
 
 In each case every answer lies in what survives peeling (peeling removes c
 only when its weight into a superset of the answer is already too low), so
@@ -102,8 +100,8 @@ set of minimum cardinality lies in the core (lemma 3) and is connected
 (lemma 4), so the check asks only whether the core's connected sets hold a
 merge set. It returns the first witness it meets, a qualifying pair or a
 set a core walk found, not the largest merge set, so no search beyond that
-walk ever runs. The epoch check relies on the cut only, with no premise
-(see its docstring).
+walk ever runs. The epoch check is one seedless cut over the hot core,
+with scaled weights and no premise (see its docstring).
 
 One walk, ESU (Wernicke 2006, "Efficient detection of network motifs"),
 serves both: it visits the connected sets that hold a seed, taking their
@@ -505,6 +503,8 @@ def _epoch_cut(nbrs: Dict[int, Dict[int, int]], nodes: Dict[int, List[int]],
                ) -> Tuple[int, ...]:
     """The least Y with seed <= Y <= dense that minimises
     2*(alpha*vol(Y) - com(Y)), sorted, if that minimum is at most 0, else ().
+    With no seed the empty set's 0 bounds the minimum, so the least
+    minimiser comes back, and it is empty exactly when the minimum is 0.
 
     One min cut (lemma 6): the seeds contract into the source 0; a non-seed
     c with b(c) = 2*alpha*size(c) - w(c, dense) > 0 has an arc of capacity
@@ -901,26 +901,24 @@ class ComponentRepartitioner:
         Such a set is an epoch set, or at vol <= k a merge set. One Y of
         least cardinality has |Y| >= 2, and each c in Y has w(c, Y-c) >
         alpha*size(c), as the nonempty Y-c has com < alpha*vol; so Y lies in
-        the hot core. The cut seeded with Y's smallest id, over the core
-        without the smaller ids, reaches a minimum of at most 0 there, and
-        any set it returns then qualifies, whether or not that minimum is
-        below 0, so the check assumes no premise of lemma 6.
+        the hot core. With each weight scaled by s = 1 + the total volume,
+        one seedless cut there decides (Goldberg 1984, "Finding a maximum
+        density subgraph"): terms are integers and vol(Y) < s, so a nonempty
+        Y has s*com(Y) - (alpha*s - 1)*vol(Y) > 0 exactly when com(Y) >=
+        alpha*vol(Y), and the empty set has 0. The least minimiser is then
+        such a set, or () when none exists; no premise of lemma 6 is needed.
         """
         # from the weights, not from self.nbrs: the check trusts no derived state
         nodes, alpha = self.comp_nodes, self.alpha
+        s = 1 + sum(len(members) for members in nodes.values())
         nbrs: Dict[int, Dict[int, int]] = {}
         for (a, b), w in self.weights.items():
             if w > 0 and a < b and a in nodes and b in nodes:
-                nbrs.setdefault(a, {})[b] = w
-                nbrs.setdefault(b, {})[a] = w
+                nbrs.setdefault(a, {})[b] = s * w
+                nbrs.setdefault(b, {})[a] = s * w
         # the peel leaves only hot components
-        core = _peel(nbrs, nbrs, (), lambda c: alpha * len(nodes[c]) + 1)
-        for root in sorted(core):
-            found = _epoch_cut(nbrs, nodes, core, (root,), alpha)
-            if found:
-                return found
-            core.discard(root)
-        return ()
+        core = _peel(nbrs, nbrs, (), lambda c: alpha * s * len(nodes[c]) + 1)
+        return _epoch_cut(nbrs, nodes, core, (), alpha * s - 1)
 
     def check_invariants(self, config: Optional[Configuration] = None) -> List[str]:
         errs = list(self.violations)

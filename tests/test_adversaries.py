@@ -245,14 +245,14 @@ def test_random_pairs_shape_and_determinism():
 def test_planted_partition_probability_guards():
     p = Params(8, 2, 4)
     with pytest.raises(BadProbability):
-        PlantedPartition(0, p, 1.5, 0.1)
+        PlantedPartition(0, p, 1.5, 0.1, steps=1)
     with pytest.raises(BadProbability):
-        PlantedPartition(0, p, 0.5, -0.1)
+        PlantedPartition(0, p, 0.5, -0.1, steps=1)
     with pytest.raises(BadProbability):
-        PlantedPartition(0, p, 0.0, 0.0)
+        PlantedPartition(0, p, 0.0, 0.0, steps=1)
     # one big group has no inter pair to draw from
     with pytest.raises(BadProbability):
-        PlantedPartition(0, Params(4, 4, 1), 0.0, 1.0)
+        PlantedPartition(0, Params(4, 4, 1), 0.0, 1.0, steps=1)
 
 
 def test_planted_partition_degenerate_rates():
@@ -281,12 +281,6 @@ def test_planted_partition_intra_rate_matches_expectation():
                ((intra, 0.6 * draws), (draws - intra, 0.4 * draws)))
     # the chi-square tail at one degree of freedom
     assert math.erfc(math.sqrt(chi2 / 2)) > 0.01
-
-
-def test_planted_partition_runs_forever_without_steps():
-    p = Params(4, 2, 2)
-    src = PlantedPartition(3, p, 0.9, 0.1)
-    assert all(src.next(None) is not None for _ in range(500))
 
 
 # -- traces ------------------------------------------------------------------

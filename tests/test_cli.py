@@ -146,6 +146,19 @@ def test_verify_passes_clean_runs():
         cli.cmd_verify(_spec(alg="null"))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: through _merge's relocations a node moves more than "
+    "ceil(log2 size) times in an epoch"))
+@pytest.mark.parametrize("n, k, seed", [(28, 7, 0), (32, 8, 1)])
+def test_verify_passes_component_runs_at_alpha_1(n, k, seed):
+    # two of the six verify commands that fail the per-node migration check,
+    # at steps 28 and 19; they pass, and so go red here, once that is mended
+    spec = _spec(alg="components", source="random", n=n, k=k, l=4, alpha=1,
+                 seed=seed, steps=600)
+    code, text = cli.cmd_verify(spec)
+    assert code == 0, text.split("\n")[:3]
+
+
 def test_verify_reports_corrupted_state():
     def tamper(t, alg):
         if t == 7:

@@ -249,6 +249,44 @@ def test_residual_epoch_check_agrees_with_naive_enumeration():
     assert found > 100 and above > 10
 
 
+def test_residual_epoch_check_breaks_the_tie_with_the_empty_set():
+    # Two singletons at weight 2*alpha have com = alpha*vol exactly, the tie
+    # that an unscaled seedless cut would resolve to the empty set; one less
+    # and no set qualifies.
+    for alpha in (1, 2, 3):
+        sizes = {1: 1, 2: 1}
+        assert _state(2, alpha, sizes, {(1, 2): 2 * alpha}
+                      ).residual_epoch_set() == (1, 2)
+        assert _state(2, alpha, sizes, {(1, 2): 2 * alpha - 1}
+                      ).residual_epoch_set() == ()
+
+
+def test_residual_epoch_check_is_one_cut(monkeypatch):
+    # On the k = 8 stream of the CI verify, the per-step check peels hot
+    # cores of up to 23 components and decides each by one cut over the
+    # whole core, not one cut per core component.
+    cut, cores, calls = components._epoch_cut, [], []
+
+    def counted(nbrs, nodes, dense, seed, alpha):
+        calls.append(len(dense))
+        return cut(nbrs, nodes, dense, seed, alpha)
+
+    monkeypatch.setattr(components, "_epoch_cut", counted)
+    p = Params(32, 8, 4, alpha=2, delta=4)
+    alg = ComponentRepartitioner(p, contiguous_configuration(p))
+
+    def check(t, config, req, comm, mig):
+        calls.clear()                    # the step's own cuts
+        assert alg.residual_epoch_set() == ()
+        cores.append(list(calls))
+
+    run(alg, RandomPairs(1, 32, 2000), p, alg.start, 2000, observer=check)
+    assert len(cores) == 2000
+    assert all(len(sizes) <= 1 for sizes in cores)
+    assert sum(1 for sizes in cores if sizes and sizes[0] >= 2) > 100
+    assert max(size for sizes in cores for size in sizes) >= 10
+
+
 # No pair reaches alpha = 3. The only merge set, (2, 3, 4), has vol = k = 3
 # and avoids 1, the core's smallest id; with the weight 3-4 at 1 there is
 # none. Every component keeps a fan-in of 2 + 2 > alpha, so all five form
