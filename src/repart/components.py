@@ -596,7 +596,6 @@ class ComponentRepartitioner:
         if (initial.cluster_count != params.ell
                 or initial.cluster_capacity != params.k):
             raise GeometryError("initial placement must be ell clusters of k")
-        self.params = params
         self.n, self.k, self.alpha = params.n, params.k, params.alpha
         self.clusters = 2 * params.ell
         self.capacity = 2 * params.k
@@ -750,9 +749,12 @@ class ComponentRepartitioner:
     # -- merging ------------------------------------------------------------
 
     def _merge(self, members: Sequence[int]) -> List[Move]:
+        """Merge around an anchor: the largest member, then the most reserved,
+        then the smallest id. No reservation exceeds its size, so a member
+        whose reservation holds the rest is a largest one."""
         vol = sum(len(self.comp_nodes[c]) for c in members)
         anchor = max(members, key=lambda c: (
-            self.comp_reserved[c], len(self.comp_nodes[c]), -c))
+            len(self.comp_nodes[c]), self.comp_reserved[c], -c))
         if self.comp_reserved[anchor] >= vol - len(self.comp_nodes[anchor]):
             target = self.comp_cluster[anchor]
             new_reserved = self.comp_reserved[anchor] - (

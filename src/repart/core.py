@@ -164,7 +164,7 @@ def serve_cost(config: Configuration, request: Request) -> int:
 
 
 def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
-                alpha: int) -> Tuple[Configuration, int]:
+                alpha: int) -> int:
     """Apply a batch of (node, target cluster) moves atomically, in place.
 
     Cost is alpha per node whose cluster actually changed; moves onto the
@@ -173,10 +173,10 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
     batches may pass through transient overfull states. Only the moved
     nodes and the clusters they enter are checked, since `config` is valid.
     The whole batch is checked before any node moves, so a rejected batch
-    leaves `config` as it was. Returns `config` itself and the cost.
+    leaves `config` as it was. Returns the migration cost.
     """
     if not moves:
-        return config, 0
+        return 0
     n, ell = config.n, config.cluster_count
     final: Dict[int, int] = {}
     for v, c in moves:
@@ -188,7 +188,7 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
     assign, members = config._assign, config._members
     changed = [(v, c) for v, c in final.items() if assign[v] != c]
     if not changed:
-        return config, 0
+        return 0
     gain: Dict[int, int] = {}
     for v, c in changed:
         gain[c] = gain.get(c, 0) + 1
@@ -201,7 +201,7 @@ def apply_moves(config: Configuration, moves: Sequence[Tuple[int, int]],
         members[assign[v]].remove(v)
         bisect.insort(members[c], v)
         assign[v] = c
-    return config, alpha * len(changed)
+    return alpha * len(changed)
 
 
 def _overlap_matrix(a: Configuration, b: Configuration) -> List[List[int]]:

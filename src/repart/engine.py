@@ -94,13 +94,12 @@ class Transcript:
 
     def replay(self) -> CostLedger:
         """Re-apply the recorded moves from the initial configuration."""
-        config = self.initial
+        config, alpha = self.initial, self.params.alpha
         ledger = CostLedger()
         for s in self.steps:
-            config, mig_pre = apply_moves(config, s.pre_moves, self.params.alpha)
+            mig = apply_moves(config, s.pre_moves, alpha)
             comm = serve_cost(config, Request(s.u, s.v, s.t))
-            config, mig_post = apply_moves(config, s.post_moves, self.params.alpha)
-            ledger.record(comm, mig_pre + mig_post)
+            ledger.record(comm, mig + apply_moves(config, s.post_moves, alpha))
         return ledger
 
     def step_lines(self) -> List[str]:
@@ -139,13 +138,11 @@ def run(alg: OnlineAlgorithm, src: RequestSource, params: Params,
             break
         req = Request(req.u, req.v, t)
         pre_moves, post_moves = alg_step(config, req)
-        mig = 0
-        if pre_moves:           # an empty batch changes nothing and costs 0
-            config, mig = apply_moves(config, pre_moves, alpha)
+        # an empty batch changes nothing and costs 0
+        mig = apply_moves(config, pre_moves, alpha) if pre_moves else 0
         comm = serve_cost(config, req)
         if post_moves:
-            config, mig_post = apply_moves(config, post_moves, alpha)
-            mig += mig_post
+            mig += apply_moves(config, post_moves, alpha)
         record(comm, mig)
         append(StepRecord(t, req.u, req.v, tuple(pre_moves), tuple(post_moves),
                           comm, mig))

@@ -526,10 +526,9 @@ def reference_run(alg, src, params, initial, max_steps, observer=None):
             break
         req = Request(req.u, req.v, t)
         pre_moves, post_moves = alg.step(config, req)
-        config, mig_pre = apply_moves(config, pre_moves, params.alpha)
+        mig = apply_moves(config, pre_moves, params.alpha)
         comm = serve_cost(config, req)
-        config, mig_post = apply_moves(config, post_moves, params.alpha)
-        mig = mig_pre + mig_post
+        mig += apply_moves(config, post_moves, params.alpha)
         transcript.ledger.record(comm, mig)
         transcript.steps.append(StepRecord(t, req.u, req.v, tuple(pre_moves),
                                            tuple(post_moves), comm, mig))

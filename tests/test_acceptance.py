@@ -152,8 +152,8 @@ def test_criterion_4_ring_pressure_on_components():
     config = tr.initial
     for s in tr.steps:
         assert serve_cost(config, Request(s.u, s.v, s.t)) == 1
-        config, _ = apply_moves(config, s.pre_moves, params.alpha)
-        config, _ = apply_moves(config, s.post_moves, params.alpha)
+        apply_moves(config, s.pre_moves, params.alpha)
+        apply_moves(config, s.post_moves, params.alpha)
 
     assert (tr.ledger.comm_total, tr.ledger.mig_total) == (1500, 750)
     offline_cap = t // params.k + params.alpha * params.n

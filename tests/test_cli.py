@@ -149,11 +149,14 @@ def test_verify_passes_clean_runs():
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 2: through _merge's relocations a node moves more than "
     "ceil(log2 size) times in an epoch"))
-@pytest.mark.parametrize("n, k, seed", [(28, 7, 0), (32, 8, 1)])
-def test_verify_passes_component_runs_at_alpha_1(n, k, seed):
-    # two of the six verify commands that fail the per-node migration check,
-    # at steps 28 and 19; they pass, and so go red here, once that is mended
-    spec = _spec(alg="components", source="random", n=n, k=k, l=4, alpha=1,
+@pytest.mark.parametrize("source, n, k, seed", [
+    ("random", 28, 7, 0), ("random", 28, 7, 1), ("random", 28, 7, 2),
+    ("random", 28, 7, 3), ("planted", 28, 7, 0), ("random", 32, 8, 1)])
+def test_verify_passes_component_runs_at_alpha_1(source, n, k, seed):
+    # the six verify commands that fail the per-node migration check, at
+    # steps 28, 20, 123, 181, 272 and 19; they pass, and so go red here,
+    # once that is mended
+    spec = _spec(alg="components", source=source, n=n, k=k, l=4, alpha=1,
                  seed=seed, steps=600)
     code, text = cli.cmd_verify(spec)
     assert code == 0, text.split("\n")[:3]

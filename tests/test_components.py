@@ -586,21 +586,22 @@ def test_size_one_clusters_reserve_nothing():
 # -- merging -----------------------------------------------------------------
 
 
-def _drive(alg, config, pairs):
-    """Feed raw requests through the algorithm, applying its moves."""
+def _drive(alg, pairs):
+    """Feed raw requests through the algorithm, moving `alg.start` by its
+    moves; returns each step's pre moves."""
     out = []
     for t, (u, v) in enumerate(pairs, 1):
-        pre, post = alg.step(config, Request(u, v, t))
-        config, _ = apply_moves(config, pre, alg.alpha)
-        config, _ = apply_moves(config, post, alg.alpha)
+        pre, post = alg.step(alg.start, Request(u, v, t))
+        apply_moves(alg.start, pre, alg.alpha)
+        apply_moves(alg.start, post, alg.alpha)
         out.append(pre)
-    return config, out
+    return out
 
 
 def test_merge_into_reserved_slot():
     p = Params(4, 2, 2, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
-    config, moves = _drive(alg, alg.start, [(0, 2)])
+    moves = _drive(alg, [(0, 2)])
     # both singletons hold a slot; the anchor keeps its cluster and the
     # reservation absorbs the incoming node
     assert moves == [[(2, 0)]]
@@ -610,24 +611,24 @@ def test_merge_into_reserved_slot():
     assert alg.comp_reserved[merged] == 0
     assert alg.comm_paid[merged] == 0  # the trigger was served collocated
     assert alg.occupancy() == [3, 1, 0, 0]
-    assert alg.check_invariants(config) == []
+    assert alg.check_invariants(alg.start) == []
 
 
 def test_merge_weight_threshold_scales_with_alpha():
     p = Params(4, 2, 2, alpha=3, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
-    config, moves = _drive(alg, alg.start, [(0, 2), (0, 2), (0, 2)])
+    moves = _drive(alg, [(0, 2), (0, 2), (0, 2)])
     assert moves == [[], [], [(2, 0)]]
     merged = alg.comp_of[0]
     # two remote serves happened before the merge and charge the component
     assert alg.comm_paid[merged] == 2
-    assert alg.check_invariants(config) == []
+    assert alg.check_invariants(alg.start) == []
 
 
 def test_merge_without_reservation_lands_in_a_fresh_cluster():
     p = Params(6, 3, 2, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
-    config, moves = _drive(alg, alg.start, [(0, 3), (1, 0)])
+    moves = _drive(alg, [(0, 3), (1, 0)])
     # first merge eats the anchor's held slot; the second finds no
     # reservation and relocates everyone to the emptiest cluster
     assert moves == [[(3, 0)], [(1, 2), (0, 2), (3, 2)]]
@@ -637,7 +638,7 @@ def test_merge_without_reservation_lands_in_a_fresh_cluster():
     assert alg.comp_reserved[merged] == 0  # min(k - vol, vol) with vol = k
     assert alg.occupancy() == [1, 2, 3, 0]
     assert alg.spare() == [4, 2, 3, 6]
-    assert alg.check_invariants(config) == []
+    assert alg.check_invariants(alg.start) == []
 
 
 def test_step_merges_four_components_of_volume_exactly_k():
@@ -646,12 +647,11 @@ def test_step_merges_four_components_of_volume_exactly_k():
     # growing at vol k-1 would merge only three of them.
     p = Params(8, 4, 2, alpha=2, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
-    config, moves = _drive(alg, alg.start,
-                           [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
+    moves = _drive(alg, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
     assert moves == [[]] * 5
-    config, _ = _drive(alg, config, [(0, 1)])
+    _drive(alg, [(0, 1)])
     assert alg.comp_nodes[alg.comp_of[0]] == [0, 1, 2, 3]
-    assert alg.check_invariants(config) == []
+    assert alg.check_invariants(alg.start) == []
 
 
 def test_step_merges_are_tight(monkeypatch):
@@ -678,12 +678,44 @@ def test_step_merges_are_tight(monkeypatch):
     assert len(formed) > 1000 and max(formed) >= 4
 
 
+def test_a_member_whose_reservation_holds_the_rest_is_a_largest_one(
+        monkeypatch):
+    # _merge's anchor is a largest member. That keeps the old rule, which
+    # preferred the most reserved member, because no reservation exceeds
+    # its component's size: r(c) >= vol - size(c) >= size(d) for each other
+    # member d. Checked on every merge the step forms.
+    merge = ComponentRepartitioner._merge
+    held = strict = 0
+
+    def checked(self, members):
+        nonlocal held, strict
+        sizes = [len(self.comp_nodes[c]) for c in members]
+        vol = sum(sizes)
+        for c, size in zip(members, sizes):
+            if self.comp_reserved[c] >= vol - size:
+                assert size == max(sizes), (members, sizes)
+                held += 1
+                strict += sizes.count(size) == 1
+        return merge(self, members)
+
+    monkeypatch.setattr(ComponentRepartitioner, "_merge", checked)
+    for k in range(4, 9):
+        for alpha in (1, 2, 3):
+            p = Params(4 * k, k, 4, alpha=alpha, delta=4)
+            for seed in range(2):
+                for src in (RandomPairs(seed, p.n, 300),
+                            PlantedPartition(seed, p, 0.9, 0.1, steps=300)):
+                    alg = ComponentRepartitioner(p, contiguous_configuration(p))
+                    run(alg, src, p, alg.start, 300)
+    assert held > 2000 and strict > 500, (held, strict)
+
+
 def test_intra_component_requests_are_silent():
     p = Params(4, 2, 2, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
-    config, _ = _drive(alg, alg.start, [(0, 2)])
+    _drive(alg, [(0, 2)])
     before = dict(alg.weights)
-    moves, post = alg.step(config, Request(0, 2))
+    moves, post = alg.step(alg.start, Request(0, 2))
     assert (moves, post) == ([], [])
     assert alg.weights == before
 
@@ -695,7 +727,7 @@ def test_epoch_splits_and_evicts_one_singleton():
     p = Params(4, 2, 2, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
     sigma = [(0, 2), (0, 1), (0, 1), (0, 1)]
-    config, moves = _drive(alg, alg.start, sigma)
+    moves = _drive(alg, sigma)
     # weight {0,2}-{1} reaches volume * alpha = 3 and the epoch ends: all
     # three nodes split back to singletons and exactly one leaves the
     # cluster, whose four slots now hold two nodes plus two held slots
@@ -705,7 +737,7 @@ def test_epoch_splits_and_evicts_one_singleton():
     assert alg.comp_cluster[1] == 0 and alg.comp_cluster[2] == 0
     assert alg.weights == {}
     assert alg.violations == []
-    assert alg.check_invariants(config) == []
+    assert alg.check_invariants(alg.start) == []
 
 
 def test_epoch_eviction_from_a_full_cluster():
@@ -714,29 +746,29 @@ def test_epoch_eviction_from_a_full_cluster():
     # two merges pack cluster 0 to its doubled capacity, then the pair
     # weight between them forces an epoch end
     sigma = [(0, 2), (1, 3), (0, 1), (0, 1), (0, 1), (0, 1)]
-    config, moves = _drive(alg, alg.start, sigma)
+    moves = _drive(alg, sigma)
     assert moves[1] == [(3, 0)]
     # four singletons re-reserve four slots on top of four occupants, so
     # two of them must leave, lowest node ids first, emptiest cluster first
     assert moves[5] == [(0, 1), (1, 2)]
     assert alg.occupancy() == [2, 1, 1, 0]
     assert alg.violations == []
-    assert alg.check_invariants(config) == []
+    assert alg.check_invariants(alg.start) == []
 
 
 def test_epoch_resets_accounting():
     p = Params(4, 2, 2, alpha=2, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
     sigma = [(0, 2), (0, 2)]            # merge at weight 2 = alpha
-    config, _ = _drive(alg, alg.start, sigma)
+    _drive(alg, sigma)
     merged = alg.comp_of[0]
     assert alg.comm_paid[merged] == 1   # one remote serve before the merge
     sigma = [(0, 1)] * 6                # epoch at weight 6 = vol * alpha
-    config, moves = _drive(alg, config, sigma)
+    moves = _drive(alg, sigma)
     assert all(alg.comm_paid[c] == 0 for c in alg.comp_nodes)
     assert all(alg.move_count[v] == 0 for v in range(4))
     assert alg.weights == {} and alg.pair_remote == {}
-    assert alg.check_invariants(config) == []
+    assert alg.check_invariants(alg.start) == []
 
 
 def test_merges_and_epoch_ends_leave_other_rows_alone():
@@ -752,7 +784,7 @@ def test_merges_and_epoch_ends_leave_other_rows_alone():
         req = src.next(config)
         rows, nodes, cid = dict(alg.nbrs), dict(alg.comp_nodes), alg.next_cid
         pre, post = alg.step(config, Request(req.u, req.v, t))
-        config, _ = apply_moves(config, pre + post, p.alpha)
+        apply_moves(config, pre + post, p.alpha)
         assert all(a is b for a, b in zip(
             tables, (alg.weights, alg.pair_remote, alg.nbrs)))
         gone = {c for c in nodes if alg.comp_nodes.get(c) is not nodes[c]}
@@ -784,11 +816,11 @@ def test_epoch_end_audits_its_three_caps(edits, expected):
     # one cap each; three singletons more in cluster 0 force four evictions.
     p = Params(8, 2, 4, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
-    config, _ = _drive(alg, alg.start, [(0, 2), (0, 1), (0, 1)])
+    _drive(alg, [(0, 2), (0, 1), (0, 1)])
     assert alg.comp_nodes[8] == [0, 2] and alg.move_count[2] == 1
     for name, values in edits.items():
         getattr(alg, name).update(values)
-    _drive(alg, config, [(0, 1)])
+    _drive(alg, [(0, 1)])
     assert all(len(nodes) == 1 for nodes in alg.comp_nodes.values())
     assert alg.violations == expected
     assert alg.check_invariants()[:len(expected)] == expected
@@ -906,7 +938,7 @@ def _lockstep(params, src, steps):
         req = Request(req.u, req.v, t)
         moves = alg.step(config, req)
         assert moves == ref.step(config, req), "step %d" % t
-        config, _ = apply_moves(config, moves[0] + moves[1], params.alpha)
+        apply_moves(config, moves[0] + moves[1], params.alpha)
         _same_state(alg, ref)
         assert alg.residual_merge_set() == ref.residual_merge_set() == ()
         assert alg.residual_epoch_set() == ()
@@ -987,7 +1019,7 @@ def tampered_states(draw):
         if req is None:
             break
         pre, post = alg.step(config, Request(req.u, req.v, t))
-        config, _ = apply_moves(config, pre + post, params.alpha)
+        apply_moves(config, pre + post, params.alpha)
     k, alpha, n = params.k, params.alpha, params.n
     comps, nodes = sorted(alg.comp_nodes), range(n)
     dead = [c for c in range(alg.next_cid + 1) if c not in alg.comp_nodes]
@@ -1217,15 +1249,15 @@ def test_merge_can_serve_the_trigger_for_free():
 def test_tampering_is_detected():
     p = Params(4, 2, 2, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
-    config, _ = _drive(alg, alg.start, [(0, 2)])
-    assert alg.check_invariants(config) == []
+    _drive(alg, [(0, 2)])
+    assert alg.check_invariants(alg.start) == []
     merged = alg.comp_of[0]
     alg.comm_paid[merged] = 99
-    errs = alg.check_invariants(config)
+    errs = alg.check_invariants(alg.start)
     assert any("remote serves" in e for e in errs)
     alg.comm_paid[merged] = 0
     alg.comp_cluster[merged] = 3        # disagree with the engine placement
-    assert any("disagrees" in e for e in alg.check_invariants(config))
+    assert any("disagrees" in e for e in alg.check_invariants(alg.start))
     # keys of a component that does not exist are reported, not raised
     fresh = ComponentRepartitioner(p, contiguous_configuration(p))
     fresh.comm_paid[7] = 1
@@ -1267,6 +1299,6 @@ def test_remote_count_without_weight_is_detected():
 def test_dump_state_is_readable():
     p = Params(4, 2, 2, delta=4)
     alg = ComponentRepartitioner(p, contiguous_configuration(p))
-    _drive(alg, alg.start, [(0, 2)])
+    _drive(alg, [(0, 2)])
     text = alg.dump_state()
     assert "component" in text and "cluster 0: o=3 r=1 f=0" in text

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from oracles import permutation_min_migration_cost
+from oracles import permutation_min_migration_cost, rebuild_apply_moves
 from repart.core import (
     CapacityExceeded,
     Configuration,
@@ -111,23 +111,24 @@ def test_serve_cost():
 
 def test_apply_moves_charging():
     config = new_configuration([0, 0, 1, 1], 2, 2)
-    same, cost = apply_moves(config, [], 3)
-    assert same is config and cost == 0
+    # the return value is the cost alone, and an empty batch moves nothing
+    assert apply_moves(config, [], 3) == 0
+    assert config.assignment == (0, 0, 1, 1)
     # moving onto the current cluster is free
-    _, cost = apply_moves(config, [(0, 0)], 3)
-    assert cost == 0
+    assert apply_moves(config, [(0, 0)], 3) == 0
     # duplicate entries: last one wins, charging reflects the net change
-    out, cost = apply_moves(config, [(0, 1), (0, 0)], 3)
-    assert tuple(out.assignment) == (0, 0, 1, 1) and cost == 0
+    assert apply_moves(config, [(0, 1), (0, 0)], 3) == 0
+    assert config.assignment == (0, 0, 1, 1)
+    assert apply_moves(config, [(0, 0), (0, 1), (2, 0)], 3) == 6
+    assert config.assignment == (1, 0, 0, 1)
 
 
 def test_apply_moves_atomic_capacity():
     config = new_configuration([0, 0, 1, 1], 2, 2)
     # a swap passes through a transiently full cluster; only the final
     # placement is validated
-    out, cost = apply_moves(config, [(1, 1), (2, 0)], 2)
-    assert tuple(out.assignment) == (0, 1, 0, 1)
-    assert cost == 4
+    assert apply_moves(config, [(1, 1), (2, 0)], 2) == 4
+    assert config.assignment == (0, 1, 0, 1)
     # the swap moved config itself; a rejected batch moves nothing
     config = new_configuration([0, 0, 1, 1], 2, 2)
     with pytest.raises(CapacityExceeded):
@@ -142,9 +143,11 @@ def test_apply_moves_atomic_capacity():
 
 def test_a_placement_moves_in_place_and_does_not_hash():
     config = new_configuration([0, 0, 1, 1], 2, 2)
+    want = rebuild_apply_moves(config, [(1, 1), (2, 0)], 1)
     members = config.nodes_in(0)
-    out, cost = apply_moves(config, [(1, 1), (2, 0)], 1)
-    assert out is config and cost == 2
+    # the return value is the cost; the batch moved config itself
+    assert apply_moves(config, [(1, 1), (2, 0)], 1) == want[1] == 2
+    assert config == want[0]
     # a read hands out a copy, not the live member list
     assert members == [0, 1] and config.nodes_in(0) == [0, 2]
     config.nodes_in(1).append(0)
