@@ -94,14 +94,30 @@ the public searches, run on the survivors, return exactly what they return
 on all components. A peel has one fixpoint, so starting it from any superset
 of its survivors, such as the hot components and the seeds, leaves the same
 set. `step` relies on lemmas 1, 2, 5 and 6 and so on the invariants that
-`residual_merge_set` and `residual_epoch_set` check after every step. The
-merge check relies on lemmas 3 and 4 only. With no qualifying pair, a merge
-set of minimum cardinality lies in the core (lemma 3) and is connected
-(lemma 4), so the check asks only whether the core's connected sets hold a
-merge set. It returns the first witness it meets, a qualifying pair or a
-set a core walk found, not the largest merge set, so no search beyond that
-walk ever runs. The epoch check is one seedless cut over the hot core,
-with scaled weights and no premise (see its docstring).
+`residual_merge_set` and `residual_epoch_set` check after every step.
+
+The checks trust nothing `step` derives. They read a replica that holds
+only primary state: the positive weights between live components and a
+copy of comp_nodes with its lists copied, plus rows, degrees and warm and
+hot sets that the replica derives itself. `step` never touches it. On
+each call the replica is synced to `weights` and `comp_nodes` by one ==
+per table; a difference of exactly +1 on the weight of one pair S of live
+components is applied as one increment, and any other difference (a
+merge, an epoch end, a tampered table) rebuilds it. Each check records the
+replica version it last answered and its answer, and by induction that
+answer is a fact about that version. So an unchanged replica keeps the
+answer; one increment after an answer of () runs the local path, whose
+premises are exactly that answer: the merge check walks from S as `step`
+does (lemma 1), and the epoch check, as no set had com >= alpha*vol
+before, makes the seeded cut on the hot core (lemmas 2 and 6). Anything
+else runs the full check. The full merge check relies on lemmas 3 and 4
+only. With no qualifying pair, a merge set of minimum cardinality lies in
+the core (lemma 3) and is connected (lemma 4), so the check asks only
+whether the core's connected sets hold a merge set. It returns the first
+witness it meets, a qualifying pair or a set a core walk found, not the
+largest merge set, so no search beyond that walk ever runs. The full epoch
+check is one seedless cut over the hot core, with scaled weights and no
+premise (see _dense_set).
 
 One walk, ESU (Wernicke 2006, "Efficient detection of network motifs"),
 serves both: it visits the connected sets that hold a seed, taking their
@@ -116,7 +132,7 @@ those with deg >= alpha. At room <= 2, which covers every step at k <= 4,
 it visits S, each S+c, and for each c the sets S+c+d with d a later entry
 of S's list or a neighbour of c, so O(|N(S)| * max deg) sets, as |N(S)| <=
 2 * max deg. From room 3 up it takes only the warm core within room hops
-of S, peeled to a fan-in of room+1. By lemma 4, the residual check seeds
+of S, peeled to a fan-in of room+1. By lemma 4, the full merge check seeds
 the walk with each core component in turn and takes the core components
 of larger id, so each connected set of vol <= k is visited once, from its
 smallest id. Of the merge sets it meets, the walk keeps the largest |X|,
@@ -129,6 +145,8 @@ weights; the branch goes when even the `left` largest positive lifts leave
 the sum below 0.
 """
 
+from itertools import chain, compress, count, islice
+from operator import ne
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -339,8 +357,8 @@ def _peel(cands: Iterable[int], nbrs: Dict[int, Dict[int, int]],
     fan(c) mates. Both tests only get stricter as candidates go, so the
     order of drops does not change what remains. One worklist runs both:
     it starts with every candidate given `fan`, else with those below need,
-    and a drop queues each live neighbour again given `fan`, else those it
-    takes below need."""
+    and a drop queues each live neighbour not already queued given `fan`,
+    else those it takes below need."""
     alive = set(seed)
     needs: Dict[int, int] = {}
     for c in cands:
@@ -357,10 +375,10 @@ def _peel(cands: Iterable[int], nbrs: Dict[int, Dict[int, int]],
         into[c] = total
         if fan is not None or total < b:
             queue.append(c)
+    queued = set(queue)                 # a queued candidate is alive
     while queue:
         c = queue.pop()
-        if c not in alive:
-            continue
+        queued.remove(c)
         # without fan a queued candidate stays below need, as into only falls
         if fan is not None and into[c] >= needs[c]:
             row, top = nbrs[c], fan(c)
@@ -377,7 +395,8 @@ def _peel(cands: Iterable[int], nbrs: Dict[int, Dict[int, int]],
         for d, w in nbrs[c].items():
             if d in needs and d in alive:
                 into[d] -= w
-                if fan is not None or into[d] < needs[d]:
+                if d not in queued and (fan is not None or into[d] < needs[d]):
+                    queued.add(d)
                     queue.append(d)
     return alive
 
@@ -578,6 +597,190 @@ def _epoch_cut(nbrs: Dict[int, Dict[int, int]], nodes: Dict[int, List[int]],
     return tuple(sorted(c for c in dense if level[at[c]] >= 0))
 
 
+def _seeded_merge_set(nbrs: Dict[int, Dict[int, int]],
+                      nodes: Dict[int, List[int]], warm: Set[int],
+                      seed: PairKey, k: int, alpha: int) -> Tuple[int, ...]:
+    """The preferred merge set that holds the pair `seed`, or (). Every
+    merge set holds it when the state was merge-exhausted before the pair's
+    weight rose by 1 (lemma 1): a connected superset of the seed whose other
+    members are warm, which from room 3 up keeps to their core within
+    `room` hops of the seed, where the walk also cuts by density. This is
+    the search `step` makes inline on its own tables, for the residual
+    check to make on its replica."""
+    room = k - len(nodes[seed[0]]) - len(nodes[seed[1]])
+    take, heaviest = warm, None
+    if room > 2:
+        near = _within(nbrs, seed, room, lambda c: (
+            c in warm and len(nodes[c]) <= room))
+        if len(near) > 2:
+            near = _peel(near, nbrs, seed, lambda c: alpha,
+                         lambda c: room + 1)
+        near.difference_update(seed)
+        heaviest = {c: _heaviest([x for d, x in nbrs[c].items()
+                                  if d in near], room)
+                    for c in near}
+        take = near
+    return _connected_merge_set(nbrs, nodes, seed, k, alpha, take,
+                                heaviest)[0]
+
+
+def _seeded_epoch_set(nbrs: Dict[int, Dict[int, int]],
+                      nodes: Dict[int, List[int]], hot: Set[int],
+                      seed: PairKey, alpha: int) -> Tuple[int, ...]:
+    """The least set Y that holds the pair `seed` with com(Y) = alpha*vol(Y),
+    or (), given that no nonempty set had com >= alpha*vol before the pair's
+    weight rose by 1. Every set with com >= alpha*vol then holds the seed
+    and has com = alpha*vol. In one of least cardinality each member c,
+    the seeds included, has w(c, Y-c) > alpha*size(c) (lemma 2's argument),
+    so there is none unless both seeds are hot, and it lies in the dense
+    core of the seed and the hot components, where one cut finds the least
+    (lemma 6). `step` makes the same cut inline."""
+    if seed[0] not in hot or seed[1] not in hot:
+        return ()
+    dense = _peel(hot, nbrs, seed, lambda c: alpha * len(nodes[c]) + 1)
+    return _epoch_cut(nbrs, nodes, dense, seed, alpha)
+
+
+def _merge_witness(weights: Dict[PairKey, int], nodes: Dict[int, List[int]],
+                   k: int, alpha: int) -> Tuple[int, ...]:
+    """A merge set, or () when none exists, among components `nodes` with
+    positive `weights` between them under (low, high) keys: the first pair
+    that qualifies, else the first set a walk of the core finds (lemmas 3
+    and 4)."""
+    small: Dict[int, Dict[int, int]] = {}   # weights among sizes <= k-2
+    for (a, b), w in weights.items():
+        sa, sb = len(nodes[a]), len(nodes[b])
+        if w >= alpha and sa + sb <= k:
+            return a, b
+        if sa <= k - 2 and sb <= k - 2:
+            small.setdefault(a, {})[b] = w
+            small.setdefault(b, {})[a] = w
+    # only components with more than alpha weight survive the peel
+    heavy = [c for c, row in small.items() if sum(row.values()) > alpha]
+    core = _peel(heavy, small, (), lambda c: alpha + 1,
+                 lambda c: k - len(nodes[c])) if len(heavy) > 2 else ()
+    if len(core) < 3:
+        return ()
+    # lemma 4: a merge set of minimum cardinality is connected, so the
+    # walk rooted at its smallest id, taking larger ids, finds one
+    heaviest = {c: _heaviest([w for d, w in small[c].items()
+                              if d in core], k - 1) for c in core}
+    for root in sorted(core):
+        core.discard(root)
+        found = _connected_merge_set(small, nodes, (root,), k, alpha, core,
+                                     heaviest)[0]
+        if found:
+            return found
+    return ()
+
+
+def _dense_set(weights: Dict[PairKey, int], nodes: Dict[int, List[int]],
+               alpha: int) -> Tuple[int, ...]:
+    """A nonempty set Y of components `nodes`, with positive `weights`
+    between them under (low, high) keys, that has com(Y) >= alpha*vol(Y),
+    or () when none exists.
+
+    One Y of least cardinality has |Y| >= 2, and each c in Y has w(c, Y-c)
+    > alpha*size(c), as the nonempty Y-c has com < alpha*vol; so Y lies in
+    the hot core. With each weight scaled by s = 1 + the total volume, one
+    seedless cut there decides (Goldberg 1984, "Finding a maximum density
+    subgraph"): terms are integers and vol(Y) < s, so a nonempty Y has
+    s*com(Y) - (alpha*s - 1)*vol(Y) > 0 exactly when com(Y) >=
+    alpha*vol(Y), and the empty set has 0. The least minimiser is then such
+    a set, or () when none exists; no premise of lemma 6 is needed."""
+    s = 1 + sum(len(members) for members in nodes.values())
+    nbrs: Dict[int, Dict[int, int]] = {}
+    for (a, b), w in weights.items():
+        nbrs.setdefault(a, {})[b] = s * w
+        nbrs.setdefault(b, {})[a] = s * w
+    # the peel leaves only hot components
+    core = _peel(nbrs, nbrs, (), lambda c: alpha * s * len(nodes[c]) + 1)
+    return _epoch_cut(nbrs, nodes, core, (), alpha * s - 1)
+
+
+class _Replica:
+    """The residual checks' copy of the primary state they read: the
+    positive weights between live components under (low, high) keys, in
+    the primary table's order, with their rows, degrees and warm and hot
+    sets, and comp_nodes with its lists copied. Only the checks touch it.
+    Each change bumps `version`; `pair` is the pair whose weight the last
+    change raised by 1, or None after a resync. `verdicts` maps each check
+    to the version it last answered and its answer."""
+
+    def __init__(self):
+        self.version, self.pair = 0, None
+        self.weights: Dict[PairKey, int] = {}
+        self.nodes: Dict[int, List[int]] = {}
+        self.nbrs: Dict[int, Dict[int, int]] = {}
+        self.deg: Dict[int, int] = {}
+        self.warm: Set[int] = set()
+        self.hot: Set[int] = set()
+        self.verdicts: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
+
+    def sync(self, weights: Dict[PairKey, int], nodes: Dict[int, List[int]],
+             alpha: int):
+        """Make the copy equal the primary tables: unchanged when they are
+        equal, by one increment when they differ by exactly +1 on the weight
+        of one pair of live components, else by a resync."""
+        if nodes == self.nodes:
+            if weights == self.weights:
+                return
+            key = self._raised(weights, nodes)
+            if key is not None:
+                w = weights[key]
+                for c, d in (key, key[::-1]):
+                    self.nbrs.setdefault(c, {})[d] = w
+                    deg = self.deg[c] = self.deg.get(c, 0) + 1
+                    if deg >= alpha:
+                        self.warm.add(c)
+                        if deg > alpha * len(nodes[c]):
+                            self.hot.add(c)
+                self.version += 1
+                self.pair = key
+                return
+        self._resync(weights, nodes, alpha)
+
+    def _raised(self, weights: Dict[PairKey, int],
+                nodes: Dict[int, List[int]]) -> Optional[PairKey]:
+        """The pair of live components whose weight in `weights` is 1 more
+        than in the copy, where that is the only difference, else None. It
+        is the key at the first value where the two tables differ, as they
+        keep the same order, or the primary's one new last key; one ==
+        after raising it in the copy confirms it."""
+        mine = self.weights
+        if len(weights) - len(mine) not in (0, 1):
+            return None
+        at = next(compress(count(), map(ne, weights.values(), mine.values())),
+                  len(mine))
+        key = next(islice(weights, at, None), None)
+        if key is None:
+            return None
+        a, b = key
+        w = weights[key]
+        if not (a < b and a in nodes and b in nodes
+                and w == mine.get(key, 0) + 1):
+            return None
+        mine[key] = w
+        return key if weights == mine else None
+
+    def _resync(self, weights: Dict[PairKey, int],
+                nodes: Dict[int, List[int]], alpha: int):
+        self.nodes = {c: list(members) for c, members in nodes.items()}
+        self.weights = {(a, b): w for (a, b), w in weights.items()
+                        if w > 0 and a < b and a in nodes and b in nodes}
+        nbrs: Dict[int, Dict[int, int]] = {}
+        for (a, b), w in self.weights.items():
+            nbrs.setdefault(a, {})[b] = w
+            nbrs.setdefault(b, {})[a] = w
+        self.nbrs = nbrs
+        self.deg = {c: sum(row.values()) for c, row in nbrs.items()}
+        self.warm = {c for c, d in self.deg.items() if d >= alpha}
+        self.hot = {c for c in self.warm
+                    if self.deg[c] > alpha * len(nodes[c])}
+        self.version += 1
+        self.pair = None
+
+
 # ---------------------------------------------------------------------------
 # The online algorithm proper.
 
@@ -622,6 +825,7 @@ class ComponentRepartitioner:
         self.comm_paid: Dict[int, int] = {v: 0 for v in range(self.n)}
         self.move_count: Dict[int, int] = {v: 0 for v in range(self.n)}
         self.violations: List[str] = []    # audit failures at epoch ends
+        self._replica = _Replica()
 
         self.start = Configuration(initial.assignment, self.clusters,
                                    self.capacity)
@@ -856,126 +1060,143 @@ class ComponentRepartitioner:
 
     # -- inspection ---------------------------------------------------------
 
+    def _answer(self, check: str, full: Callable[[], Tuple[int, ...]],
+                local: Callable[[], Tuple[int, ...]]) -> Tuple[int, ...]:
+        """The answer of `check` once the replica is synced: the last one
+        when the replica has not changed since, `local` when it was () one
+        version back and the change since raised one pair's weight by 1,
+        else `full`."""
+        rep = self._replica
+        rep.sync(self.weights, self.comp_nodes, self.alpha)
+        version, answer = rep.verdicts.get(check, (None, ()))
+        if version != rep.version:
+            if version == rep.version - 1 and rep.pair and not answer:
+                answer = local()
+            else:
+                answer = full()
+            rep.verdicts[check] = rep.version, answer
+        return answer
+
     def residual_merge_set(self) -> Tuple[int, ...]:
         """A merge set of the current state, or () when none exists.
 
         Empty means the state is merge-exhausted, as it must be after every
-        completed step. By lemma 3 a merge set exists iff a pair qualifies
-        or the core holds one, and by lemma 4 the core holds one iff one of
-        its connected sets is one, so the answer costs one pass over the
-        weights and a walk of the core. The witness is the first qualifying
-        pair of that pass, or else the first set a core walk finds.
+        completed step. The check reads only its replica of the weights and
+        comp_nodes (see the module docstring). When its last answer, one
+        replica version back, was () and the weight of one pair S has risen
+        by 1 since, lemma 1 holds with that answer as its premise, and the
+        step's own walk seeded at S, on the replica's rows and warm set,
+        answers. Otherwise the full check runs: by lemma 3 a merge set
+        exists iff a pair qualifies or the core holds one, and by lemma 4
+        the core holds one iff one of its connected sets is one, so the
+        answer costs one pass over the weights and a walk of the core. Its
+        witness is the first qualifying pair of that pass, or else the first
+        set a core walk finds.
         """
-        # from the weights, not from self.nbrs: the check trusts no derived state
-        sizes = {c: len(nodes) for c, nodes in self.comp_nodes.items()}
-        k, alpha = self.k, self.alpha
-        small: Dict[int, Dict[int, int]] = {}   # weights among sizes <= k-2
-        for (a, b), w in self.weights.items():
-            if w <= 0 or a >= b or a not in sizes or b not in sizes:
-                continue
-            if w >= alpha and sizes[a] + sizes[b] <= k:
-                return a, b
-            if sizes[a] <= k - 2 and sizes[b] <= k - 2:
-                small.setdefault(a, {})[b] = w
-                small.setdefault(b, {})[a] = w
-        # only components with more than alpha weight survive the peel
-        heavy = [c for c, row in small.items() if sum(row.values()) > alpha]
-        core = _peel(heavy, small, (), lambda c: alpha + 1,
-                     lambda c: k - sizes[c]) if len(heavy) > 2 else ()
-        if len(core) < 3:
-            return ()
-        # lemma 4: a merge set of minimum cardinality is connected, so the
-        # walk rooted at its smallest id, taking larger ids, finds one
-        heaviest = {c: _heaviest([w for d, w in small[c].items()
-                                  if d in core], k - 1) for c in core}
-        for root in sorted(core):
-            core.discard(root)
-            found = _connected_merge_set(small, self.comp_nodes, (root,), k,
-                                         alpha, core, heaviest)[0]
-            if found:
-                return found
-        return ()
+        rep, k, alpha = self._replica, self.k, self.alpha
+        return self._answer(
+            "merge", lambda: _merge_witness(rep.weights, rep.nodes, k, alpha),
+            lambda: _seeded_merge_set(rep.nbrs, rep.nodes, rep.warm, rep.pair,
+                                      k, alpha))
 
     def residual_epoch_set(self) -> Tuple[int, ...]:
         """A nonempty component set with com >= alpha*vol, or () when none
         exists, as after every completed step.
 
-        Such a set is an epoch set, or at vol <= k a merge set. One Y of
-        least cardinality has |Y| >= 2, and each c in Y has w(c, Y-c) >
-        alpha*size(c), as the nonempty Y-c has com < alpha*vol; so Y lies in
-        the hot core. With each weight scaled by s = 1 + the total volume,
-        one seedless cut there decides (Goldberg 1984, "Finding a maximum
-        density subgraph"): terms are integers and vol(Y) < s, so a nonempty
-        Y has s*com(Y) - (alpha*s - 1)*vol(Y) > 0 exactly when com(Y) >=
-        alpha*vol(Y), and the empty set has 0. The least minimiser is then
-        such a set, or () when none exists; no premise of lemma 6 is needed.
+        Such a set is an epoch set, or at vol <= k a merge set. The check
+        reads only its replica, as the merge check does. When its last
+        answer, one version back, was () and the weight of one pair S has
+        risen by 1 since, every such set holds S, and the step's seeded cut
+        on the replica's hot core answers (lemmas 2 and 6, with that answer
+        as their premise). Otherwise one seedless cut decides; see
+        _dense_set.
         """
-        # from the weights, not from self.nbrs: the check trusts no derived state
-        nodes, alpha = self.comp_nodes, self.alpha
-        s = 1 + sum(len(members) for members in nodes.values())
-        nbrs: Dict[int, Dict[int, int]] = {}
-        for (a, b), w in self.weights.items():
-            if w > 0 and a < b and a in nodes and b in nodes:
-                nbrs.setdefault(a, {})[b] = s * w
-                nbrs.setdefault(b, {})[a] = s * w
-        # the peel leaves only hot components
-        core = _peel(nbrs, nbrs, (), lambda c: alpha * s * len(nodes[c]) + 1)
-        return _epoch_cut(nbrs, nodes, core, (), alpha * s - 1)
+        rep, alpha = self._replica, self.alpha
+        return self._answer(
+            "epoch", lambda: _dense_set(rep.weights, rep.nodes, alpha),
+            lambda: _seeded_epoch_set(rep.nbrs, rep.nodes, rep.hot, rep.pair,
+                                      alpha))
 
     def check_invariants(self, config: Optional[Configuration] = None) -> List[str]:
         errs = list(self.violations)
         k, alpha, comp_of, moved = self.k, self.alpha, self.comp_of, self.move_count
         where = self.comp_cluster
+        reserved, paid = self.comp_reserved, self.comm_paid
+        top = max(k - 1, 0)
+        placed = config.assignment if config is not None else None
         sizes: Dict[int, int] = {}
         occ, res = [0] * self.clusters, [0] * self.clusters
-        seen: Set[int] = set()
         move_errs: List[str] = []    # reported after the weights and payments
+        # One pass over the live components checks their nodes, moves,
+        # reservations, payments and placement. A reservation, a payment or
+        # a placement it cannot pass, or a key left over in those tables,
+        # sends that table through its own pass below, which words and
+        # orders the messages.
+        clean = True                 # every live reservation in range
+        settled = True               # every live payment within its cap
+        in_place = placed is not None
         for cid, nodes in self.comp_nodes.items():
             size = sizes[cid] = len(nodes)
-            occ[where[cid]] += size
-            seen.update(nodes)
+            s = where[cid]
+            occ[s] += size
+            r = reserved.get(cid, -1)
+            if 0 <= r <= top and r <= size:
+                res[s] += r
+            else:
+                clean = False
+            if settled:
+                settled = paid.get(cid, size * alpha) <= (size - 1) * alpha
+            if size == 1:               # the common case, with no message
+                node = nodes[0]
+                if comp_of[node] == cid and not moved[node]:
+                    in_place = in_place and placed[node] == s
+                    continue
             log = (size - 1).bit_length()       # ceil(log2(size)) for size >= 1
             per_node_cap = log or 1
             total = 0
             for node in nodes:
                 if comp_of[node] != cid:
                     errs.append("node %d not mapped to component %d" % (node, cid))
+                    in_place = False
                 total += moved[node]
                 if moved[node] > per_node_cap:
                     move_errs.append("node %d moved %d times in component of %d"
                                      % (node, moved[node], size))
+                if in_place and placed[node] != s:
+                    in_place = False
             if total > size * log:
                 move_errs.append("component %d total moves %d exceed %d"
                                  % (cid, total, size * log))
-        if seen != set(range(self.n)):
+        partition = set(chain.from_iterable(
+            self.comp_nodes.values())) == set(range(self.n))
+        if not partition:
             errs.append("components do not partition the node set")
-        top = max(k - 1, 0)
         reserve_errs: List[str] = []    # reported after the capacity checks
-        for cid, r in self.comp_reserved.items():
-            if cid in where:
-                res[where[cid]] += r
-            size = sizes.get(cid)
-            if not 0 <= r <= top or (size is not None and r > size):
-                reserve_errs.append("component %d reserved %d out of range"
-                                    % (cid, r))
-            elif size is None:
-                reserve_errs.append("reservation keyed to dead component %d"
-                                    % cid)
-        if not sizes.keys() <= self.comp_reserved.keys():
-            reserve_errs.extend("component %d has no reservation" % cid for cid
-                                in sizes if cid not in self.comp_reserved)
-        if not sizes.keys() <= self.comm_paid.keys():
+        if not clean or len(reserved) != len(sizes):
+            res = [0] * self.clusters
+            for cid, r in reserved.items():
+                if cid in where:
+                    res[where[cid]] += r
+                size = sizes.get(cid)
+                if not 0 <= r <= top or (size is not None and r > size):
+                    reserve_errs.append("component %d reserved %d out of range"
+                                        % (cid, r))
+                elif size is None:
+                    reserve_errs.append("reservation keyed to dead component %d"
+                                        % cid)
+            reserve_errs.extend("component %d has no reservation" % cid
+                                for cid in sizes if cid not in reserved)
+        if not settled or len(paid) != len(sizes):
             reserve_errs.extend("component %d has no payment record" % cid
-                                for cid in sizes if cid not in self.comm_paid)
+                                for cid in sizes if cid not in paid)
         if sum(occ) != self.n:
             errs.append("occupancy sums to %d, not %d" % (sum(occ), self.n))
-        spare = False
-        for s, (o, r) in enumerate(zip(occ, res)):
-            free = self.capacity - o - r
-            if free < 0:
-                errs.append("cluster %d over capacity: o=%d r=%d" % (s, o, r))
-            spare = spare or free >= k
-        if not spare:
+        free = [self.capacity - o - r for o, r in zip(occ, res)]
+        if min(free) < 0:
+            errs.extend("cluster %d over capacity: o=%d r=%d"
+                        % (s, occ[s], res[s])
+                        for s, f in enumerate(free) if f < 0)
+        if max(free) < k:
             errs.append("no cluster keeps k spare slots")
         errs += reserve_errs
         for (a, b), w in self.weights.items():
@@ -992,15 +1213,15 @@ class ComponentRepartitioner:
         if not self.pair_remote.keys() <= self.weights.keys():
             errs.extend("remote count %r has no weight" % (key,) for key
                         in self.pair_remote if key not in self.weights)
-        for cid, paid in self.comm_paid.items():
-            if cid not in sizes:
-                errs.append("payment keyed to dead component %d" % cid)
-            elif paid > (sizes[cid] - 1) * alpha:
-                errs.append("component %d paid %d remote serves, cap %d"
-                            % (cid, paid, (sizes[cid] - 1) * alpha))
+        if not settled or len(paid) != len(sizes):
+            for cid, p in paid.items():
+                if cid not in sizes:
+                    errs.append("payment keyed to dead component %d" % cid)
+                elif p > (sizes[cid] - 1) * alpha:
+                    errs.append("component %d paid %d remote serves, cap %d"
+                                % (cid, p, (sizes[cid] - 1) * alpha))
         errs += move_errs
-        if config is not None:
-            placed = config.assignment
+        if placed is not None and not (in_place and partition):
             # from a list, as tuple(map(...)) grows by resizing, and each
             # resized tuple lingers in CPython's free list once dropped
             want = tuple([where[c] for c in comp_of])

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from repart import cli, offline
+from repart import cli, components, offline
 
 
 def _spec(**kw):
@@ -393,6 +393,37 @@ def test_verify_reports_a_surviving_merge_set():
     assert code == 1
     assert text.startswith(
         "FAIL components\nstep 1\nqualifying merge set survived the step\n")
+
+
+def test_verify_reports_a_merge_set_one_raised_pair_completes(
+        tmp_path, monkeypatch):
+    # The trace leaves pair weights 2, 2 and 1 among the singletons 6, 7
+    # and 8 at k = 3, alpha = 3, merges 0 and 1, then asks for 0-1 again,
+    # which changes no weight. Raising 7-8 by one there completes the merge
+    # set (6, 7, 8), with every pair below alpha, so check_invariants is
+    # clean; the residual check finds the set by its local path, with no
+    # full check at that step.
+    trace = tmp_path / "trace.txt"
+    trace.write_text("6,7\n6,7\n6,8\n6,8\n7,8\n0,1\n0,1\n0,1\n0,1\n")
+    full, calls = components._merge_witness, []
+
+    def counted(*args):
+        calls.append(args)
+        return full(*args)
+
+    def tamper(t, alg):
+        calls.clear()
+        if t == 9:
+            assert alg.comp_of[0] == alg.comp_of[1]
+            alg.weights[7, 8] += 1
+
+    spec = _spec(alg="components", source="trace", trace=str(trace), n=9,
+                 k=3, l=3, alpha=3, delta=4, steps=9)
+    monkeypatch.setattr(components, "_merge_witness", counted)
+    code, text = cli.cmd_verify(spec, tamper=tamper)
+    assert code == 1 and calls == []
+    assert text.startswith(
+        "FAIL components\nstep 9\nqualifying merge set survived the step\n")
 
 
 @pytest.mark.parametrize("w", [2, 3])

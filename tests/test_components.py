@@ -6,6 +6,7 @@ narrows each search to the components that can be in its answer, runs in
 lockstep with the reference that searches all of them.
 """
 
+import copy
 import itertools
 import random
 from unittest import mock
@@ -249,6 +250,64 @@ def test_residual_epoch_check_agrees_with_naive_enumeration():
     assert found > 100 and above > 10
 
 
+def test_residual_checks_catch_one_raised_pair_and_an_in_place_edit():
+    # Both checks answer () on a state and so keep their replica. One more
+    # unit on the pair (2, 3) then makes (1, 2, 3) a merge set at k = 3,
+    # alpha = 3 (com 6 = 2*alpha), or a set with com 3 = alpha*vol at
+    # alpha = 1, where (2, 3) had no weight before, and the local path,
+    # seeded at that pair, finds it.
+    sizes = dict.fromkeys((1, 2, 3), 1)
+    for k, alpha, weights, check in (
+            (3, 3, {(1, 2): 2, (1, 3): 2, (2, 3): 1}, "residual_merge_set"),
+            (4, 1, {(1, 2): 1, (1, 3): 1}, "residual_epoch_set")):
+        alg = _state(k, alpha, sizes, weights)
+        assert getattr(alg, check)() == ()
+        alg.weights[2, 3] = weights.get((2, 3), 0) + 1
+        assert getattr(alg, check)() == (1, 2, 3)
+        assert alg._replica.pair == (2, 3)     # by the local path
+    # An edit of a node list in place, which a replica that shared the
+    # lists would miss: one node fewer makes (1, 2) fit k = 3 with weight
+    # alpha = 2, or gives it vol 3 and com 3 = alpha*vol at alpha = 1.
+    for k, alpha, weight, check in ((3, 2, 2, "residual_merge_set"),
+                                    (2, 1, 3, "residual_epoch_set")):
+        alg = _state(k, alpha, {1: 2, 2: 2}, {(1, 2): weight})
+        assert getattr(alg, check)() == ()
+        alg.comp_nodes[1].pop()
+        assert getattr(alg, check)() == (1, 2)
+
+
+def test_residual_checks_go_local_only_on_their_premises():
+    # After a witness the premise of the local path is gone: one more unit
+    # elsewhere is checked in full, and the witness is found again.
+    for weight, check in ((2, "residual_merge_set"),
+                          (4, "residual_epoch_set")):
+        alg = _state(3, 2, dict.fromkeys((1, 2, 3, 4), 1), {(1, 2): weight})
+        assert getattr(alg, check)() == (1, 2)
+        alg.weights[3, 4] = 1
+        assert getattr(alg, check)() == (1, 2)
+    # The replica is shared: a check two increments behind it, here the
+    # epoch check after two merge checks, has no premise for the last pair
+    # alone and checks in full. Components of two nodes at k = 3 form no
+    # merge set, and the first unit makes (1, 2, 3) a set with com 6 =
+    # alpha*vol.
+    alg = _state(3, 1, dict.fromkeys((1, 2, 3, 4), 2),
+                 {(1, 2): 2, (1, 3): 2, (2, 3): 1})
+    assert alg.residual_merge_set() == alg.residual_epoch_set() == ()
+    for key in ((2, 3), (3, 4)):
+        alg.weights[key] = alg.weights.get(key, 0) + 1
+        assert alg.residual_merge_set() == ()
+    assert alg.residual_epoch_set() == (1, 2, 3)
+    # A new unit under a key the checks read as no traffic, one to a dead
+    # component or one in (high, low) order, is a resync, not a local path
+    # from that key.
+    for key in ((3, 9), (3, 2)):
+        alg = _state(3, 2, dict.fromkeys((1, 2, 3), 1), {(1, 2): 1})
+        assert alg.residual_merge_set() == alg.residual_epoch_set() == ()
+        alg.weights[key] = 1
+        assert alg.residual_merge_set() == alg.residual_epoch_set() == ()
+        assert alg._replica.pair is None
+
+
 def test_residual_epoch_check_breaks_the_tie_with_the_empty_set():
     # Two singletons at weight 2*alpha have com = alpha*vol exactly, the tie
     # that an unscaled seedless cut would resolve to the empty set; one less
@@ -386,7 +445,8 @@ def test_core_walk_agrees_with_connected_enumeration(monkeypatch):
 def test_core_walk_cuts_by_density(monkeypatch):
     # On a random k = 8, alpha = 3 run the cores hold about 20 components;
     # without the density cut their walks visit over a hundred times as
-    # many sets.
+    # many sets. The full check runs on every step here, as the residual
+    # check runs it only where its local path cannot answer.
     walks = _core_walks(monkeypatch)
     cores, visits = [], 0
     p = Params(32, 8, 4, alpha=3, delta=4)
@@ -395,7 +455,8 @@ def test_core_walk_cuts_by_density(monkeypatch):
     def check(t, config, req, comm, mig):
         nonlocal visits
         walks.clear()
-        assert alg.residual_merge_set() == ()
+        assert components._merge_witness(alg.weights, alg.comp_nodes,
+                                         p.k, p.alpha) == ()
         if walks:
             cores.append(len(walks[0][1]) + 1)
             visits += sum(out[1] for _, _, out in walks)
@@ -1003,6 +1064,57 @@ def test_epoch_cut_matches_the_seeded_searches(case):
         run(alg, src, params, alg.start, steps)
 
 
+def _agree_with_the_full_checks(alg):
+    """Both residual checks of `alg` against the full checks on its primary
+    tables, and against the naive enumerations on ten live components or
+    fewer; a witness is a merge set, or a set with com >= alpha*vol."""
+    k, alpha, nodes = alg.k, alg.alpha, alg.comp_nodes
+    weights = {key: w for key, w in alg.weights.items() if w > 0}
+    live = {c: len(nodes[c]) for key in weights for c in key}
+    got = alg.residual_merge_set()
+    assert bool(got) == bool(components._merge_witness(weights, nodes, k,
+                                                       alpha))
+    if got:
+        _assert_merge_set(alg, got)
+    if len(live) <= 10:
+        assert bool(got) == bool(naive_merge_set(live, weights, k, alpha))
+    got = alg.residual_epoch_set()
+    assert bool(got) == bool(components._dense_set(weights, nodes, alpha))
+    if got:
+        _assert_dense_set(alg, got)
+    if len(live) <= 10:
+        assert bool(got) == bool(naive_epoch_set(live, weights, 0, alpha))
+
+
+@settings(max_examples=100, deadline=None)
+@given(component_streams(ks=(2, 8), most=80), st.data())
+def test_local_residual_checks_match_the_full_checks(case, data):
+    # On every step of a run, and on a copy of each state with one more unit
+    # of weight on a drawn pair of components, the local path's answers
+    # agree with the full checks' and the naive enumerations'. The copy's
+    # replica takes the unit as one increment, so its checks answer by the
+    # local path, and can answer with a witness.
+    params, src, steps = case
+    alg = ComponentRepartitioner(params, contiguous_configuration(params))
+    config = alg.start
+    for t in range(1, steps + 1):
+        req = src.next(config)
+        if req is None:
+            break
+        pre, post = alg.step(config, Request(req.u, req.v, t))
+        apply_moves(config, pre + post, params.alpha)
+        _agree_with_the_full_checks(alg)
+        a, b = data.draw(st.lists(st.sampled_from(sorted(alg.comp_nodes)),
+                                  min_size=2, max_size=2, unique=True))
+        key = (min(a, b), max(a, b))
+        probe = copy.copy(alg)
+        probe.weights = dict(alg.weights)
+        probe.weights[key] = probe.weights.get(key, 0) + 1
+        probe._replica = copy.deepcopy(alg._replica)
+        _agree_with_the_full_checks(probe)
+        assert probe._replica.pair == key
+
+
 @st.composite
 def tampered_states(draw):
     """A state reached by a drawn stream, then edited: component ids,
@@ -1109,18 +1221,32 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     # per-step checks, dropping the cold-seed skip, a fan-in bound, the
     # walk's cuts or the core walk's root order raises one of these counts
     # above what the shortcuts reach. The step walks its merge sets and
-    # decides its epoch ends by one cut, and the residual check walks its
-    # core; none of them calls find_merge_set or find_epoch_set.
+    # decides its epoch ends by one cut; the residual check walks from the
+    # pair one request raised, or its whole core where a step merged or
+    # ended an epoch; none of them calls find_merge_set or find_epoch_set.
     counts = {"find_merge_set": 0, "find_epoch_set": 0, "_epoch_cut": 0,
-              "walk visits": 0, "core walk visits": 0}
+              "walk visits": 0, "check walk visits": 0,
+              "core walk visits": 0}
+    stepping = []                        # nonempty inside a step
 
     def visits_of(walk):
-        # the step seeds its walk with a pair, the residual check with a root
+        # the step and the residual check's local path seed their walks
+        # with a pair, the residual check's full path with a root
         def call(*args):
             out = walk(*args)
-            counts["walk visits" if len(args[2]) == 2
-                   else "core walk visits"] += out[1]
+            counts["core walk visits" if len(args[2]) == 1 else
+                   "walk visits" if stepping else "check walk visits"
+                   ] += out[1]
             return out
+        return call
+
+    def in_step(step):
+        def call(*args):
+            stepping.append(True)
+            try:
+                return step(*args)
+            finally:
+                stepping.pop()
         return call
 
     def counted(name, fn):
@@ -1137,6 +1263,8 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
                         counted("_epoch_cut", components._epoch_cut))
     monkeypatch.setattr(components, "_connected_merge_set", visits_of(
         components._connected_merge_set))
+    monkeypatch.setattr(ComponentRepartitioner, "step",
+                        in_step(ComponentRepartitioner.step))
     p = Params(16, 4, 4, alpha=3, delta=4)
     moved = 0
     for src in (PlantedPartition(11, p, 0.9, 0.1, steps=1000),
@@ -1154,7 +1282,8 @@ def test_step_and_residual_check_work_stays_within_its_counts(monkeypatch):
     assert counts["walk visits"] <= 15058
     assert counts["find_epoch_set"] == 0
     assert counts["_epoch_cut"] <= 560
-    assert counts["core walk visits"] <= 2918
+    assert counts["check walk visits"] <= 13807
+    assert counts["core walk visits"] <= 67
 
 
 def test_a_step_that_merges_ends_there(monkeypatch):
